@@ -130,25 +130,55 @@ def orthogonal_characterization(inst: PerverseLefschetzInstance,
                                 pairing: IntersectionPairing,
                                 i: int, d: int) -> Subspace:
     """E^{−i,d} via the pairing:
-    W_{≤−i}V^d ∩ ⋂_{t≥1} (η^{i+t}(W_{≤−i−t}V^{2n−d−2(i+t)}))^⊥.
+    W_{≤−i}V^d ∩ ⋂_{s>i} (η^s(W_{≤−s}V^{2n−d−2s}))^⊥.
 
-    Requires both compatibility flags (η-self-adjointness and filtration
-    self-duality)."""
-    if not pairing.eta_self_adjoint(inst.eta):
-        raise CompatibilityFailure("operator self-adjointness")
-    if not pairing.filtration_self_dual(inst):
-        raise CompatibilityFailure("filtration self-duality")
+    Uses neither the preimage cuts nor the graded pieces, so agreement
+    with the schedule is independent evidence.  Requires both
+    compatibility flags (η-self-adjointness and filtration self-duality)."""
+    failed = _failed_compatibility(inst, pairing)
+    if failed is not None:
+        raise CompatibilityFailure(failed)
     n2 = 2 * pairing.center
-    r = inst.amplitude
     current = inst.filtration.at(d, -i)
-    for t in range(1, r - i + 1):
-        src_d = n2 - d - 2 * (i + t)
-        if inst.space.dim(src_d) == 0:
+    for s in range(i + 1, inst.amplitude + 1):
+        if inst.space.dim(n2 - d - 2 * s) == 0:
             continue
-        step = inst.filtration.at(src_d, -i - t)
-        pushed = image_of(inst.eta.power_block(src_d, i + t), step)
-        current = current.intersect(pairing.perp(pushed, d))
+        current = current.intersect(_orthogonal_cut(inst, pairing, d, s))
     return current
+
+
+# The two memos below are cached on the instance; each entry keeps
+# ``pairing`` alive, so its id in the key stays its own.
+
+def _failed_compatibility(inst, pairing) -> str | None:
+    """The first compatibility flag that fails, or None; checked once per
+    instance and pairing."""
+    def compute():
+        if not pairing.eta_self_adjoint(inst.eta):
+            return pairing, "operator self-adjointness"
+        if not pairing.filtration_self_dual(inst):
+            return pairing, "filtration self-duality"
+        return pairing, None
+    return inst.cached(("compatibility", id(pairing)), compute)[1]
+
+
+def _orthogonal_cut(inst, pairing, d, s) -> Subspace:
+    """(η^s(W_{≤−s}V^{2n−d−2s}))^⊥ ⊆ V^d."""
+    def compute():
+        src_d = 2 * pairing.center - d - 2 * s
+        pushed = image_of(inst.eta.power_block(src_d, s), inst.filtration.at(src_d, -s))
+        return pairing, pairing.perp(pushed, d)
+    return inst.cached(("orthogonal cut", id(pairing), d, s), compute)[1]
+
+
+def orthogonal_mismatch(inst: PerverseLefschetzInstance, pairing: IntersectionPairing,
+                        embedded: dict):
+    """The first slot (i, d), in sorted order, whose orthogonal
+    characterization differs from ``embedded``, or None."""
+    for (i, d), sub in sorted(embedded.items()):
+        if orthogonal_characterization(inst, pairing, i, d) != sub:
+            return i, d
+    return None
 
 
 def duality_hs_check(inst: PerverseLefschetzInstance, pairing: IntersectionPairing,

@@ -55,7 +55,7 @@ class GradedSpace:
 class GradedMap:
     """Degree-homogeneous map of graded spaces; missing blocks are zero."""
 
-    __slots__ = ("shift", "blocks", "source", "target")
+    __slots__ = ("shift", "blocks", "source", "target", "_powers")
 
     def __init__(self, shift, blocks, source: GradedSpace, target: GradedSpace | None = None):
         target = target if target is not None else source
@@ -69,6 +69,7 @@ class GradedMap:
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
+        object.__setattr__(self, "_powers", {})   # (d, s) -> power_block(d, s)
 
     def __setattr__(self, name, value):
         raise AttributeError("GradedMap is immutable")
@@ -80,16 +81,23 @@ class GradedMap:
         return blk
 
     def power_block(self, d, s) -> Matrix:
-        """The block of the s-fold composite starting at degree ``d``."""
+        """The block of the s-fold composite starting at degree ``d``.
+
+        Computed once per map, as block(d + (s−1)·shift) · power_block(d, s−1).
+        """
         if s < 0:
             raise InputError("negative power")
         if self.source is not self.target and self.source != self.target and s > 1:
             raise InputError("powers require an endomorphism")
-        out = Matrix.identity(self.source.dim(d))
-        deg = d
-        for _ in range(s):
-            out = self.block(deg) @ out
-            deg += self.shift
+        out = self._powers.get((d, s))
+        if out is None:
+            if s == 0:
+                out = Matrix.identity(self.source.dim(d))
+            elif s == 1:
+                out = self.block(d)
+            else:
+                out = self.block(d + (s - 1) * self.shift) @ self.power_block(d, s - 1)
+            self._powers[(d, s)] = out
         return out
 
     def compose(self, other: "GradedMap") -> "GradedMap":
@@ -227,7 +235,8 @@ def check_strict_compatibility(filtr: Filtration, eta: GradedMap):
 class GradedPieces:
     """Quotients Gr_i V^d with recorded bases and the induced operator blocks."""
 
-    __slots__ = ("space", "filtration", "eta", "quotients", "report")
+    __slots__ = ("space", "filtration", "eta", "quotients", "report", "_e_powers",
+                 "_hl_report")
 
     def __init__(self, space, filtration, eta, quotients, report):
         object.__setattr__(self, "space", space)
@@ -235,6 +244,8 @@ class GradedPieces:
         object.__setattr__(self, "eta", eta)
         object.__setattr__(self, "quotients", quotients)
         object.__setattr__(self, "report", report)
+        object.__setattr__(self, "_e_powers", {})   # (d, i, s) -> e_power_block(d, i, s)
+        object.__setattr__(self, "_hl_report", None)  # set by lefschetz.require_hard_lefschetz
 
     def __setattr__(self, name, value):
         raise AttributeError("GradedPieces is immutable")
@@ -265,11 +276,18 @@ class GradedPieces:
                       _raw=True) if cols else Matrix.zero(tgt_dim, 0)
 
     def e_power_block(self, d, i, s) -> Matrix:
-        out = Matrix.identity(self.dim(d, i))
-        dd, ii = d, i
-        for _ in range(s):
-            out = self.e_block(dd, ii) @ out
-            dd, ii = dd + 2, ii + 2
+        """Induced block Gr_i V^d → Gr_{i+2s} V^{d+2s} of e^s, computed once
+        per (d, i, s) from the cached one-step blocks."""
+        out = self._e_powers.get((d, i, s))
+        if out is None:
+            if s <= 0:
+                out = Matrix.identity(self.dim(d, i))
+            elif s == 1:
+                out = self.e_block(d, i)
+            else:
+                k = 2 * (s - 1)
+                out = self.e_power_block(d + k, i + k, 1) @ self.e_power_block(d, i, s - 1)
+            self._e_powers[(d, i, s)] = out
         return out
 
 

@@ -10,6 +10,7 @@ from functools import cached_property
 from .errors import InputError
 from .graded import (Filtration, GradedMap, GradedSpace, graded_pieces,
                      validate_filtration)
+from .linalg import Subspace, preimage
 
 
 @dataclass(frozen=True)
@@ -39,6 +40,27 @@ class PerverseLefschetzInstance:
     @cached_property
     def pieces(self):
         return graded_pieces(self.space, self.filtration, self.eta)
+
+    @cached_property
+    def _cache(self):
+        return {}
+
+    def cached(self, key, compute):
+        """``compute()``, run once per instance and ``key``.  The instance
+        is immutable, so a value derived from it stays valid as long as
+        the instance lives.  Each key belongs to one named accessor:
+        ``cut`` here, the orthogonal cuts and the compatibility verdict in
+        ``duality``.  The operator powers are cached on ``eta``."""
+        cache = self._cache
+        if key not in cache:
+            cache[key] = compute()
+        return cache[key]
+
+    def cut(self, d, s, level) -> Subspace:
+        """{v ∈ V^d : η^s v ∈ W_{≤level}V^{d+2s}}, the preimage cut shared
+        by the schedule, the direct characterization and their checks."""
+        return self.cached(("cut", d, s, level), lambda: preimage(
+            self.eta.power_block(d, s), self.filtration.at(d + 2 * s, level)))
 
     def label(self, d, j):
         labels = self.space.labels.get(d)

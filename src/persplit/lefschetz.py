@@ -69,11 +69,20 @@ class PrimitiveTable:
         return sorted(self.table)
 
 
-def primitives(gp: GradedPieces) -> PrimitiveTable:
-    """P^{−i,d} = Ker(e^{i+1} : Gr_{−i}V^d → Gr_{i+2}V^{d+2(i+1)})."""
-    report = check_hard_lefschetz(gp)
+def require_hard_lefschetz(gp: GradedPieces):
+    """Raise ``VerificationFailure`` with the report unless hard Lefschetz
+    holds.  The report is computed once per ``GradedPieces`` and kept on it."""
+    report = gp._hl_report
+    if report is None:
+        report = check_hard_lefschetz(gp)
+        object.__setattr__(gp, "_hl_report", report)
     if not report.passed:
         raise VerificationFailure(str(report))
+
+
+def primitives(gp: GradedPieces) -> PrimitiveTable:
+    """P^{−i,d} = Ker(e^{i+1} : Gr_{−i}V^d → Gr_{i+2}V^{d+2(i+1)})."""
+    require_hard_lefschetz(gp)
     table = {}
     for (d, mi) in gp.slots:
         if mi > 0:

@@ -95,13 +95,18 @@ class Matrix:
             raise FieldMismatch(f"{self.field} @ {other.field}")
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
+        # Row-times-matrix over the nonzero entries only: out_row += a · b_row.
         zero = field_zero(self.field)
-        ot = other.transpose().data
-        out = tuple(
-            tuple(sum((a * b for a, b in zip(row, col) if a and b), zero) for col in ot)
-            for row in self.data
-        )
-        return Matrix(self.rows, other.cols, out, self.field, _raw=True)
+        sparse = [[(j, b) for j, b in enumerate(brow) if b] for brow in other.data]
+        out = []
+        for row in self.data:
+            acc = [zero] * other.cols
+            for a, bnz in zip(row, sparse):
+                if a:
+                    for j, b in bnz:
+                        acc[j] += a * b
+            out.append(tuple(acc))
+        return Matrix(self.rows, other.cols, tuple(out), self.field, _raw=True)
 
     def transpose(self):
         return Matrix(self.cols, self.rows, tuple(zip(*self.data)) if self.data else

@@ -3,8 +3,13 @@
 ``psi_schedule`` computes the embedded primitive subspace E^{−i,d} by
 the iterated-kernel schedule; ``direct_characterization`` computes the
 same space in one pass from the strong-primitivity conditions
-η^s·E ⊆ W_{≤s−1} for s > i.  The two are computed independently and
-cross-checked at runtime by ``compute_splitting``.
+η^s·E ⊆ W_{≤s−1} for s > i.  Both draw their preimage cuts from the
+instance's cache (``inst.cut``), so comparing them certifies the
+schedule's containments η^{i+t}(S_{t−1}) ⊆ W_{≤i+t} and the agreement
+of the two intersection orders, not an independent computation.  The
+result is proved by ``assemble``: a direct sum that rebuilds W and
+projects onto the primitives determines E uniquely.  Independent
+evidence comes from the orthogonal path in ``duality``.
 """
 
 from __future__ import annotations
@@ -13,8 +18,8 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import AssemblyFailure, ContainmentViolation, VerificationFailure
 from .instance import PerverseLefschetzInstance
-from .lefschetz import check_hard_lefschetz, primitives
-from .linalg import Subspace, image_of, preimage
+from .lefschetz import primitives, require_hard_lefschetz
+from .linalg import Subspace, image_of
 from .scalars import FIELD_Q
 
 
@@ -36,12 +41,6 @@ class SplittingResult:
     def embedded_dim(self, i, d):
         sub = self.embedded.get((i, d))
         return sub.dim if sub else 0
-
-
-def _require_hl(inst: PerverseLefschetzInstance):
-    report = check_hard_lefschetz(inst.pieces)
-    if not report.passed:
-        raise VerificationFailure(str(report))
 
 
 def slot_list(inst: PerverseLefschetzInstance):
@@ -69,28 +68,18 @@ def psi_schedule(inst: PerverseLefschetzInstance, i: int, d: int,
     if i < 0:
         raise VerificationFailure("slot index i must be ≥ 0")
     if not _skip_hl_check:
-        _require_hl(inst)
+        require_hard_lefschetz(inst.pieces)
     r = inst.amplitude
-    W = inst.filtration
-    current = W.at(d, -i)
-    steps = []
-    power = i + 1
-    target_deg = d + 2 * power
-    cond = _filtration_step(inst, target_deg, i + 1)
-    current = current.intersect(preimage(inst.eta.power_block(d, power), cond))
-    steps.append(ScheduleStep(0, power, i + 2, current.dim))
+    current = inst.filtration.at(d, -i).intersect(inst.cut(d, i + 1, i + 1))
+    steps = [ScheduleStep(0, i + 1, i + 2, current.dim)]
     for t in range(1, r - i + 1):
         power = i + t
-        target_deg = d + 2 * power
-        block = inst.eta.power_block(d, power)
-        allowed = _filtration_step(inst, target_deg, i + t)
-        img = image_of(block, current)
-        if not allowed.contains(img):
+        allowed = inst.cut(d, power, i + t)   # η^{i+t}v ∈ W_{≤i+t}
+        if not allowed.contains(current):
             witness_row = next(row for row in current.basis.data
-                               if not allowed.contains_vector(block.apply(row)))
+                               if not allowed.contains_vector(row))
             raise ContainmentViolation(i, d, t, witness_row)
-        cond = _filtration_step(inst, target_deg, i + t - 1)
-        current = current.intersect(preimage(block, cond))
+        current = current.intersect(inst.cut(d, power, i + t - 1))
         steps.append(ScheduleStep(t, power, i + t, current.dim))
     return current, tuple(steps)
 
@@ -99,20 +88,11 @@ def direct_characterization(inst: PerverseLefschetzInstance, i: int, d: int,
                             *, _skip_hl_check=False) -> Subspace:
     """E^{−i,d} as W_{≤−i}V^d ∩ {v : η^s v ∈ W_{≤s−1}V^{d+2s}, i < s ≤ r}."""
     if not _skip_hl_check:
-        _require_hl(inst)
-    r = inst.amplitude
+        require_hard_lefschetz(inst.pieces)
     current = inst.filtration.at(d, -i)
-    for s in range(i + 1, r + 1):
-        block = inst.eta.power_block(d, s)
-        cond = _filtration_step(inst, d + 2 * s, s - 1)
-        current = current.intersect(preimage(block, cond))
+    for s in range(i + 1, inst.amplitude + 1):
+        current = current.intersect(inst.cut(d, s, s - 1))
     return current
-
-
-def _filtration_step(inst, d, i) -> Subspace:
-    if inst.space.dim(d) == 0:
-        return Subspace.zero(0, FIELD_Q)
-    return inst.filtration.at(d, i)
 
 
 def assemble(inst: PerverseLefschetzInstance, embedded: dict,
@@ -184,9 +164,10 @@ def assemble(inst: PerverseLefschetzInstance, embedded: dict,
 
 
 def compute_splitting(inst: PerverseLefschetzInstance) -> SplittingResult:
-    """Full pipeline: both characterizations on every slot, cross-checked,
-    then assembly."""
-    _require_hl(inst)
+    """Full pipeline: the schedule and the direct characterization on every
+    slot, compared (which checks the schedule's containments on shared
+    cuts), then ``assemble``, whose checks prove the result by uniqueness."""
+    require_hard_lefschetz(inst.pieces)
     embedded, schedule = {}, {}
     for (i, d) in slot_list(inst):
         via_psi, steps = psi_schedule(inst, i, d, _skip_hl_check=True)
@@ -215,20 +196,17 @@ def eta_commutation_check(inst: PerverseLefschetzInstance,
     for (i, d), e_sub in sorted(result.embedded.items()):
         if not e_sub.dim:
             continue
+        straight = [image_of(inst.eta.power_block(d, k), e_sub) for k in range(i + 1)]
         for j in range(i + 1):
-            base = image_of(inst.eta.power_block(d, j), e_sub)
             for jp in range(i - j + 1):
-                stepped = image_of(inst.eta.power_block(d + 2 * j, jp), base)
-                straight = image_of(inst.eta.power_block(d, j + jp), e_sub)
-                ok = stepped == straight and stepped.dim == e_sub.dim
+                stepped = image_of(inst.eta.power_block(d + 2 * j, jp), straight[j])
+                ok = stepped == straight[j + jp] and stepped.dim == e_sub.dim
                 checks.append(((i, d, j, jp), ok))
                 if not ok:
                     return CommutationReport(False, tuple(checks),
                                              f"η-commutation fails at (i={i}, d={d}, "
                                              f"j={j}, j'={jp})")
-        img = image_of(inst.eta.power_block(d, i + 1), e_sub)
-        bound = _filtration_step(inst, d + 2 * (i + 1), i)
-        ok = bound.contains(img) if bound.ambient_dim else img.is_zero()
+        ok = inst.cut(d, i + 1, i).contains(e_sub)   # η^{i+1}v ∈ W_{≤i}
         checks.append(((i, d, "key restriction"), ok))
         if not ok:
             return CommutationReport(False, tuple(checks),

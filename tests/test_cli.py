@@ -1,12 +1,15 @@
+import dataclasses
 import json
 
 import pytest
 
 from persplit import cli
 from persplit.corpus import quadric_cone
+from persplit.duality import IntersectionPairing
 from persplit.errors import EngineDefect
 from persplit.fileformat import save, serialize_instance
 from persplit.lefschetz import StringSpec, build_split_model
+from persplit.scalars import Rat
 
 
 @pytest.fixture
@@ -52,6 +55,18 @@ def test_check_hl_failure_exits_one(capsys, tmp_path):
     code, out, _ = run(capsys, "check-hl", str(path))
     assert code == 1
     assert "FAIL" in out
+
+
+def test_verify_failing_pairing_flag_exits_one(capsys, tmp_path):
+    inst = quadric_cone(1).instance
+    blocks = dict(inst.pairing.blocks)
+    blocks[0] = blocks[0].scale(Rat(2))
+    path = tmp_path / "lopsided.json"
+    save(dataclasses.replace(inst, pairing=IntersectionPairing(3, inst.space, blocks)), path)
+    code, _, err = run(capsys, "verify", str(path), "--pairing", "--json")
+    assert code == 1
+    assert err.strip() == ("verification failure: pairing compatibility flag "
+                           "violated: operator self-adjointness")
 
 
 # --- split / verify ---------------------------------------------------------

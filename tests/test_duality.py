@@ -2,9 +2,10 @@ import pytest
 
 from persplit.corpus import (GeneratorProfile, canonical_lifts, quadric_cone,
                              random_instance)
-from persplit.duality import (IntersectionPairing, duality_hs_check,
-                              induced_pairing_on_summand,
-                              orthogonal_characterization, projector)
+from persplit.duality import (IntersectionPairing, _orthogonal_cut,
+                              duality_hs_check, induced_pairing_on_summand,
+                              orthogonal_characterization, orthogonal_mismatch,
+                              projector)
 from persplit.errors import (CompatibilityFailure, InputError,
                              PreconditionFailure)
 from persplit.graded import Filtration, GradedMap, GradedSpace
@@ -93,6 +94,65 @@ def test_orthogonal_characterization_requires_self_adjointness():
     lopsided = IntersectionPairing(3, inst.space, blocks)
     with pytest.raises(CompatibilityFailure, match="self-adjoint"):
         orthogonal_characterization(inst, lopsided, 0, 2)
+
+
+def test_orthogonal_mismatch_checks_the_flags_once(monkeypatch):
+    calls = []
+    for name in ("eta_self_adjoint", "filtration_self_dual"):
+        real = getattr(IntersectionPairing, name)
+        monkeypatch.setattr(IntersectionPairing, name,
+                            lambda self, arg, _real=real, _name=name:
+                            calls.append(_name) or _real(self, arg))
+    inst, q = quadric(2)
+    result = compute_splitting(inst)
+    assert len(result.embedded) > 1
+    assert orthogonal_mismatch(inst, q, result.embedded) is None
+    assert sorted(calls) == ["eta_self_adjoint", "filtration_self_dual"]
+
+
+def test_orthogonal_mismatch_names_the_first_bad_slot():
+    inst, q = quadric(1)
+    embedded = dict(compute_splitting(inst).embedded)
+    embedded[(0, 2)] = Subspace.full(3)
+    assert orthogonal_mismatch(inst, q, embedded) == (0, 2)
+
+
+def test_orthogonal_mismatch_failing_flag_raises():
+    inst, q = quadric(1)
+    blocks = dict(q.blocks)
+    blocks[0] = blocks[0].scale(Rat(2))
+    lopsided = IntersectionPairing(3, inst.space, blocks)
+    with pytest.raises(CompatibilityFailure, match="self-adjoint"):
+        orthogonal_mismatch(inst, lopsided, compute_splitting(inst).embedded)
+
+
+def test_orthogonal_cuts_are_per_pairing():
+    # one instance queried with two pairings must not mix their cached cuts
+    inst, q = quadric(1)
+    blocks = dict(q.blocks)
+    blocks[2] = Matrix.identity(3)
+    other = IntersectionPairing(3, inst.space, blocks)
+    cuts = [(d, s) for d in inst.space.degrees for s in range(1, inst.amplitude + 1)
+            if inst.space.dim(d) and inst.space.dim(2 * q.center - d - 2 * s)]
+    fresh = {id(p): {c: _orthogonal_cut(quadric(1)[0], p, *c) for c in cuts}
+             for p in (q, other)}
+    assert fresh[id(q)] != fresh[id(other)]
+    for pairing in (q, other, q):
+        for c in cuts:
+            assert _orthogonal_cut(inst, pairing, *c) == fresh[id(pairing)][c]
+
+
+def test_compatibility_verdict_is_per_pairing():
+    # a failing pairing keeps failing with its message on a repeat call,
+    # and does not change the verdict for another pairing of the instance
+    inst, q = quadric(1)
+    blocks = dict(q.blocks)
+    blocks[0] = blocks[0].scale(Rat(2))
+    lopsided = IntersectionPairing(3, inst.space, blocks)
+    for _ in range(2):
+        with pytest.raises(CompatibilityFailure, match="self-adjoint"):
+            orthogonal_characterization(inst, lopsided, 0, 2)
+    assert orthogonal_mismatch(inst, q, compute_splitting(inst).embedded) is None
 
 
 def test_three_path_agreement_on_paired_seeds():

@@ -9,7 +9,8 @@ from persplit.graded import (Filtration, GradedMap, GradedSpace,
                              check_strict_compatibility, graded_pieces,
                              nilpotency_order, validate_filtration,
                              weight_filtration)
-from persplit.linalg import Matrix, Subspace
+from persplit.instance import PerverseLefschetzInstance
+from persplit.linalg import Matrix, Subspace, preimage
 from persplit.scalars import Rat
 
 from oracle_helpers import (enumerate_axiom_filtrations, frac_matrix,
@@ -137,6 +138,97 @@ def test_quotient_commutes_with_induced_operator():
             via_quotient = block.apply(q.project_vector(rep))
             via_operator = tgt.project_vector(inst.eta.block(d).apply(rep))
             assert tuple(via_quotient) == tuple(via_operator)
+
+
+# --- cached operator powers and preimage cuts -------------------------------
+
+def naive_power_block(eta, d, s):
+    out = Matrix.identity(eta.source.dim(d))
+    for k in range(s):
+        out = eta.block(d + 2 * k) @ out
+    return out
+
+
+def naive_e_power_block(gp, d, i, s):
+    out = Matrix.identity(gp.dim(d, i))
+    for k in range(s):
+        out = gp.e_block(d + 2 * k, i + 2 * k) @ out
+    return out
+
+
+def gapped_instance():
+    """Degrees 0, 2 and 6 with V^4 = 0, one operator block (0 → 2), so
+    the blocks at 2 and 4 are missing and powers run through a zero
+    space."""
+    space = GradedSpace({0: 2, 2: 1, 6: 1})
+    filtr = Filtration(space, {(0, -1): Subspace.span([[1, 0]], 2),
+                               (0, 0): Subspace.full(2),
+                               (2, 1): Subspace.full(1), (6, 0): Subspace.full(1)})
+    eta = GradedMap(2, {0: frac_matrix([[0, 1]])}, space)
+    return PerverseLefschetzInstance(center=3, space=space, filtration=filtr, eta=eta)
+
+
+def power_cases():
+    yield gapped_instance()
+    yield quadric_cone(1).instance
+    for seed in range(6):
+        yield random_instance(seed).instance
+
+
+def test_power_block_matches_naive_product():
+    for inst in power_cases():
+        degs = inst.space.degrees
+        r = inst.amplitude
+        for d in range(degs[0] - 2, degs[-1] + 3):   # includes dimension-0 degrees
+            for s in range(r + 2):
+                assert inst.eta.power_block(d, s) == naive_power_block(inst.eta, d, s), (d, s)
+
+
+def test_power_block_zero_power_and_missing_blocks():
+    eta = gapped_instance().eta
+    assert eta.power_block(0, 0) == Matrix.identity(2)
+    assert eta.power_block(4, 0) == Matrix.identity(0)
+    assert eta.power_block(0, 1) == frac_matrix([[0, 1]])
+    assert eta.power_block(0, 2) == Matrix.zero(0, 2)    # V^4 = 0
+    assert eta.power_block(0, 3) == Matrix.zero(1, 2)    # through V^4 into V^6
+    assert eta.power_block(2, 1) == Matrix.zero(0, 1)
+
+
+def test_power_block_is_cached():
+    inst = quadric_cone(2).instance
+    first = inst.eta.power_block(0, 2)
+    assert inst.eta.power_block(0, 2) is first
+    assert inst.eta.power_block(0, 0) is inst.eta.power_block(0, 0)
+
+
+def test_e_power_block_matches_naive_product():
+    for inst in power_cases():
+        gp = inst.pieces
+        r = inst.amplitude
+        starts = set(gp.slots) | {(d, i - 1) for (d, i) in gp.slots}   # plus empty pieces
+        for (d, i) in sorted(starts):
+            for s in range(r + 2):
+                assert gp.e_power_block(d, i, s) == naive_e_power_block(gp, d, i, s), (d, i, s)
+
+
+def test_e_power_block_is_cached():
+    gp = quadric_cone(1).instance.pieces
+    first = gp.e_power_block(2, -1, 1)
+    assert gp.e_power_block(2, -1, 1) is first
+    assert gp.e_power_block(0, -1, 2) is gp.e_power_block(0, -1, 2)
+
+
+def test_cut_is_preimage_of_filtration_step():
+    for inst in power_cases():
+        r = inst.amplitude
+        for d in inst.space.degrees:
+            for s in range(r + 2):
+                for level in range(-r - 1, r + 2):
+                    target = inst.filtration.at(d + 2 * s, level)
+                    want = preimage(inst.eta.power_block(d, s), target)
+                    got = inst.cut(d, s, level)
+                    assert got == want, (d, s, level)
+                    assert inst.cut(d, s, level) is got
 
 
 # --- monodromy weight filtration ------------------------------------------

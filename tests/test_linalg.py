@@ -1,11 +1,12 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from persplit.errors import DimensionMismatch, FieldMismatch, InputError
 from persplit.linalg import (Matrix, Subspace, image_of, kernel, preimage,
                              quotient_map, rref)
-from persplit.scalars import FIELD_QI, Gaussian, Rat
+from persplit.scalars import FIELD_Q, FIELD_QI, Gaussian, Rat, field_zero
 
 from oracle_helpers import frac_matrix
 
@@ -143,3 +144,60 @@ def test_inverse_exact():
     assert m @ m.inverse() == Matrix.identity(2)
     with pytest.raises(InputError):
         frac_matrix([[1, 2], [2, 4]]).inverse()
+
+
+# --- matrix product ----------------------------------------------------------
+
+def naive_matmul(a, b):
+    """Dense triple loop, every product formed."""
+    zero = field_zero(a.field)
+    rows = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            acc = zero
+            for k in range(a.cols):
+                acc = acc + a.data[i][k] * b.data[k][j]
+            row.append(acc)
+        rows.append(tuple(row))
+    return Matrix(a.rows, b.cols, tuple(rows), a.field, _raw=True)
+
+
+SMALL = st.sampled_from((0, 0, 0, 1, -1, 2, Rat(1, 3)))
+
+
+@st.composite
+def matrix_pairs(draw):
+    """(a, b) of shapes (m, n) and (n, p), m, n, p ∈ 0..4, over Q or Q(i),
+    sparse enough that zero rows and zero columns are common."""
+    field = draw(st.sampled_from((FIELD_Q, FIELD_QI)))
+    m, n, p = (draw(st.integers(0, 4)) for _ in range(3))
+
+    def entry():
+        if field == FIELD_Q:
+            return Rat(draw(SMALL))
+        return Gaussian(draw(SMALL), draw(SMALL))
+
+    a = Matrix(m, n, tuple(tuple(entry() for _ in range(n)) for _ in range(m)), field)
+    b = Matrix(n, p, tuple(tuple(entry() for _ in range(p)) for _ in range(n)), field)
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrix_pairs())
+@example((Matrix.zero(0, 3), Matrix.zero(3, 2)))
+@example((Matrix.zero(3, 0), Matrix.zero(0, 2)))
+@example((frac_matrix([[1], [2]]), Matrix.zero(1, 0)))
+@example((Matrix.zero(2, 0), Matrix.zero(0, 3)))
+@example((Matrix.zero(2, 0, FIELD_QI), Matrix.zero(0, 3, FIELD_QI)))
+@example((frac_matrix([[0, 0], [1, 2]]), frac_matrix([[0, 3], [0, 4]])))
+@example((frac_matrix([[0, 0, 0], [1, 0, 2]]), frac_matrix([[1, 0], [5, 0], [0, 0]])))
+def test_matmul_matches_dense_triple_loop(pair):
+    a, b = pair
+    got = a @ b
+    want = naive_matmul(a, b)
+    assert got == want
+    assert (got.rows, got.cols, got.field) == (a.rows, b.cols, a.field)
+    # the zero entries are the field's own zero, not a stand-in
+    assert all(type(x) is type(field_zero(a.field)) for row in got.data for x in row)
+

@@ -2,9 +2,13 @@ from fractions import Fraction
 
 import pytest
 
+from persplit import lefschetz
 from persplit.corpus import canonical_lifts, quadric_cone, random_instance
-from persplit.errors import AssemblyFailure, ContainmentViolation
-from persplit.lefschetz import StringSpec, apply_graded_auto, build_split_model
+from persplit.errors import AssemblyFailure, ContainmentViolation, VerificationFailure
+from persplit.graded import GradedMap
+from persplit.instance import PerverseLefschetzInstance
+from persplit.lefschetz import (StringSpec, apply_graded_auto, build_split_model,
+                                check_hard_lefschetz)
 from persplit.linalg import Subspace, image_of
 from persplit.splitting import (assemble, compute_splitting,
                                 direct_characterization, eta_commutation_check,
@@ -177,3 +181,35 @@ def test_split_model_commutation():
     inst, _ = build_split_model(StringSpec(((3, 0, 2), (1, 2, 1))))
     result = compute_splitting(inst)
     assert eta_commutation_check(inst, result).passed
+
+
+# --- hard Lefschetz, checked once --------------------------------------------
+
+def test_hard_lefschetz_runs_once_per_split(monkeypatch):
+    calls = []
+
+    def counting(gp):
+        calls.append(gp)
+        return check_hard_lefschetz(gp)
+
+    monkeypatch.setattr(lefschetz, "check_hard_lefschetz", counting)
+    inst = quadric_cone(1).instance
+    compute_splitting(inst)
+    assert len(calls) == 1
+    lefschetz.primitives(inst.pieces)
+    assert len(calls) == 1
+
+
+def test_hard_lefschetz_failure_keeps_its_witness():
+    inst = quadric_cone(1).instance
+    degenerate = PerverseLefschetzInstance(center=3, space=inst.space,
+                                           filtration=inst.filtration,
+                                           eta=GradedMap(2, {}, inst.space))
+    report = check_hard_lefschetz(degenerate.pieces)
+    assert not report.passed and report.failure[2] is not None
+    with pytest.raises(VerificationFailure) as exc:
+        compute_splitting(degenerate)
+    assert str(exc.value) == str(report)
+    with pytest.raises(VerificationFailure) as exc:
+        assemble(degenerate, {})
+    assert str(exc.value) == str(report)
