@@ -22,7 +22,7 @@ from .scalars import FIELD_Q
 class IntersectionPairing:
     """Blockwise pairing V^d × V^{2n−d} → Q with center n."""
 
-    __slots__ = ("center", "space", "blocks")
+    __slots__ = ("center", "space", "blocks", "_nondegenerate")
 
     def __init__(self, center: int, space: GradedSpace, blocks):
         norm = {}
@@ -38,6 +38,7 @@ class IntersectionPairing:
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "blocks", norm)
+        object.__setattr__(self, "_nondegenerate", None)   # set by is_nondegenerate
 
     def __setattr__(self, name, value):
         raise AttributeError("IntersectionPairing is immutable")
@@ -60,11 +61,12 @@ class IntersectionPairing:
         return sum((x * y for x, y in zip(a, row)), Rat(0))
 
     def is_nondegenerate(self) -> bool:
-        for d in self.space.degrees:
-            blk = self.block(d)
-            if blk.rows != blk.cols or blk.rank() != blk.rows:
-                return False
-        return True
+        """Every block is square and invertible; ranked once per pairing."""
+        if self._nondegenerate is None:
+            verdict = all(blk.rows == blk.cols and blk.rank() == blk.rows
+                          for blk in map(self.block, self.space.degrees))
+            object.__setattr__(self, "_nondegenerate", verdict)
+        return self._nondegenerate
 
     def is_symmetric_up_to_sign(self) -> bool:
         return all(self.block(d) == self.block(2 * self.center - d).transpose()

@@ -388,22 +388,33 @@ def quotient_map(a: Subspace, b: Subspace) -> QuotientMap:
     if not a.contains(b):
         raise InputError("quotient_map requires b ⊆ a")
     n, field = a.ambient_dim, a.field
-    # Extend b's basis by rows of a, then by unit vectors, to a full basis.
-    comp_rows = []
-    current = b
-    for row in a.basis.data:
-        if not current.contains_vector(row):
-            comp_rows.append(row)
-            current = current.sum(Subspace.span([row], n, field))
+    # Extend b's basis greedily by rows of a, then by unit vectors, to a
+    # full basis.  Each candidate is reduced against one running echelon
+    # of everything accepted so far; it is accepted iff a remainder is left.
+    echelon = [(next(j for j, x in enumerate(row) if x), row) for row in b.basis.data]
+
+    def independent(vec):
+        vec = list(vec)
+        for pivot, row in echelon:      # each row vanishes at earlier pivots
+            c = vec[pivot]
+            if c:
+                for j in range(pivot, n):
+                    vec[j] -= c * row[j]
+        pivot = next((j for j, x in enumerate(vec) if x), None)
+        if pivot is not None:
+            head = vec[pivot]
+            echelon.append((pivot, tuple(x / head for x in vec)))
+        return pivot is not None
+
+    comp_rows = [row for row in a.basis.data if independent(row)]
     extra_rows = []
     zero, one = field_zero(field), field_one(field)
     for j in range(n):
-        if current.is_full():
+        if len(echelon) == n:
             break
         unit = tuple(one if k == j else zero for k in range(n))
-        if not current.contains_vector(unit):
+        if independent(unit):
             extra_rows.append(unit)
-            current = current.sum(Subspace.span([unit], n, field))
     full = Matrix(n, n, b.basis.data + tuple(comp_rows) + tuple(extra_rows), field, _raw=True)
     # Coordinates of a column vector v in the row basis: x = (fullᵗ)⁻¹ v.
     coords = full.transpose().inverse()

@@ -1,20 +1,15 @@
-"""Pure-Python row reduction kernel.
+"""Reference row reduction for the kernel tests.
 
-Entries may be any exact field elements supporting ``+ - * /``,
-truthiness (nonzero test) and comparison with ``1``.  The compiled
-variant in ``_echelon.pyx`` implements the identical algorithm.
+Plain Gauss–Jordan elimination over any exact field, dividing as it
+goes: the engine's kernel before it gained its already-reduced and
+fraction-free integer paths.  Kept here, outside the engine, as the
+oracle those paths are checked against.
 """
 
-BACKEND = "python"
 
-
-def rref_rows(rows, ncols):
-    """Reduced row echelon form of ``rows``, zero rows dropped.
-
-    Returns ``(reduced_rows, pivot_columns)``.  The input is not mutated.
-    The output is the unique RREF of the row space, so it doubles as a
-    canonical form.
-    """
+def oracle_rref_rows(rows, ncols):
+    """Reduced row echelon form of ``rows``, zero rows dropped:
+    ``(reduced_rows, pivot_columns)``.  The input is not mutated."""
     work = [list(r) for r in rows]
     nrows = len(work)
     pivots = []

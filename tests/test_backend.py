@@ -1,57 +1,115 @@
+"""The row-reduction kernel against the reference Gauss–Jordan oracle."""
+
 import random
 from fractions import Fraction
 
-from persplit._core import BACKEND
-from persplit._core import echelon_py
-from persplit.scalars import Gaussian
+from hypothesis import example, given, settings, strategies as st
+from rref_oracle import oracle_rref_rows
+
+from persplit._core import rref_rows
+from persplit.scalars import GI_ZERO, Gaussian
+
+ZERO = Fraction(0)
+
+SMALL_Q = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+BIG_Q = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6))
+RATIONALS = st.one_of(st.just(ZERO), SMALL_Q, BIG_Q)
+GAUSSIANS = st.one_of(st.just(GI_ZERO), st.builds(Gaussian, SMALL_Q, SMALL_Q))
 
 
-def _load_compiled():
-    try:
-        from persplit._core import _echelon
-        return _echelon
-    except ImportError:
-        return None
+@st.composite
+def row_lists(draw, entries, zero):
+    """Up to 6×6 rows, with zero rows and duplicate rows mixed in."""
+    ncols = draw(st.integers(0, 6))
+    rows = [[draw(entries) for _ in range(ncols)] for _ in range(draw(st.integers(0, 6)))]
+    for kind in draw(st.lists(st.sampled_from(("zero", "duplicate")), max_size=3)):
+        at = draw(st.integers(0, len(rows)))
+        if kind == "zero":
+            rows.insert(at, [zero] * ncols)
+        elif rows:
+            rows.insert(at, list(rows[draw(st.integers(0, len(rows) - 1))]))
+    return rows, ncols
 
 
-def test_compiled_backend_is_active_by_default():
-    # the build ships the compiled kernel; the env-var escape hatch is
-    # exercised separately by the benchmark
-    compiled = _load_compiled()
-    if compiled is None:
-        assert BACKEND == "python"
-    else:
-        assert BACKEND in ("cython", "python")
-        assert compiled.BACKEND == "cython"
+def check_against_oracle(rows, ncols):
+    snapshot = [list(r) for r in rows]
+    out = rref_rows(rows, ncols)
+    assert rows == snapshot, "the kernel mutated its input"
+    assert out == oracle_rref_rows(snapshot, ncols)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(row_lists(RATIONALS, ZERO))
+@example(([], 0))
+@example(([[], []], 0))
+@example(([], 3))
+@example(([[ZERO, ZERO], [ZERO, ZERO]], 2))
+@example(([[Fraction(1, 999_983), Fraction(2, 3)], [Fraction(-5, 10**6), Fraction(7, 999_999)]],
+          2))
+def test_kernel_matches_oracle_over_q(case):
+    rows, ncols = case
+    reduced, _ = check_against_oracle(rows, ncols)
+    assert all(type(x) is Fraction for row in reduced for x in row)
 
 
 def test_backends_agree_on_seeded_rational_matrices():
-    compiled = _load_compiled()
-    if compiled is None:
-        return  # only the fallback is available; nothing to compare
     rng = random.Random(2024)
     for _ in range(200):
         nrows = rng.randint(0, 6)
         ncols = rng.randint(1, 6)
         rows = [tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9))
                       for _ in range(ncols)) for _ in range(nrows)]
-        assert compiled.rref_rows(rows, ncols) == echelon_py.rref_rows(rows, ncols)
-
-
-def test_backends_agree_on_gaussian_matrices():
-    compiled = _load_compiled()
-    if compiled is None:
-        return
-    rng = random.Random(7)
-    for _ in range(60):
-        ncols = rng.randint(1, 4)
-        rows = [tuple(Gaussian(rng.randint(-3, 3), rng.randint(-3, 3))
-                      for _ in range(ncols)) for _ in range(rng.randint(0, 4))]
-        assert compiled.rref_rows(rows, ncols) == echelon_py.rref_rows(rows, ncols)
+        assert rref_rows(rows, ncols) == oracle_rref_rows(rows, ncols)
 
 
 def test_pure_kernel_does_not_mutate_input():
-    rows = [(Fraction(2), Fraction(4)), (Fraction(1), Fraction(2))]
-    snapshot = [tuple(r) for r in rows]
-    echelon_py.rref_rows(rows, 2)
-    assert rows == snapshot
+    for rows in ([(Fraction(2), Fraction(4)), (Fraction(1), Fraction(2))],
+                 [[Fraction(1, 3), Fraction(2)], [Fraction(0), Fraction(5, 7)]],
+                 [[Gaussian(0, 2), Gaussian(1, 1)], [Gaussian(1, 0), GI_ZERO]]):
+        snapshot = [type(r)(r) for r in rows]
+        rref_rows(rows, 2)
+        assert rows == snapshot
+        assert all(type(r) is type(s) and r == s for r, s in zip(rows, snapshot))
+
+
+@settings(max_examples=100, deadline=None)
+@given(row_lists(GAUSSIANS, GI_ZERO))
+@example(([], 0))
+@example(([[Gaussian(0, 2), Gaussian(1, 1)], [Gaussian(0, 1), Gaussian(Fraction(1, 2), Fraction(1, 2))]],
+          2))
+def test_kernel_matches_oracle_over_qi(case):
+    rows, ncols = case
+    reduced, _ = check_against_oracle(rows, ncols)
+    assert all(type(x) is Gaussian for row in reduced for x in row)
+
+
+@st.composite
+def reduced_variants(draw, entries, zero):
+    """An RREF (zero rows interleaved), the same rows permuted, or the
+    RREF with one extra nonzero in another row's pivot column."""
+    rows, ncols = draw(row_lists(entries, zero))
+    rref, pivots = oracle_rref_rows(rows, ncols)
+    rref = [list(r) for r in rref]
+    kind = draw(st.sampled_from(("reduced", "permuted", "pivot column hit")))
+    if kind == "permuted":
+        rref = draw(st.permutations(rref))
+    elif kind == "pivot column hit" and len(rref) >= 2:
+        i, k = draw(st.lists(st.integers(0, len(rref) - 1), min_size=2, max_size=2,
+                             unique=True))
+        rref[i][pivots[k]] = draw(entries.filter(bool))
+    if rref and draw(st.booleans()):
+        rref.insert(draw(st.integers(0, len(rref))), [zero] * ncols)
+    return kind, rref, ncols
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(reduced_variants(RATIONALS, ZERO), reduced_variants(GAUSSIANS, GI_ZERO)))
+@example(("permuted", [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]], 2))
+@example(("pivot column hit", [[Fraction(1), Fraction(3)], [Fraction(0), Fraction(1)]], 2))
+@example(("pivot column hit", [[Fraction(1), Fraction(0)], [Fraction(5), Fraction(1)]], 2))
+def test_kernel_on_reduced_permuted_and_perturbed_rrefs(case):
+    kind, rows, ncols = case
+    reduced, _ = check_against_oracle(rows, ncols)
+    if kind == "reduced":
+        assert reduced == [tuple(r) for r in rows if any(r)]

@@ -1,14 +1,16 @@
 import dataclasses
 import json
+from collections import Counter
 
 import pytest
 
-from persplit import cli
+from persplit import cli, fileformat
 from persplit.corpus import quadric_cone
 from persplit.duality import IntersectionPairing
 from persplit.errors import EngineDefect
 from persplit.fileformat import save, serialize_instance
 from persplit.lefschetz import StringSpec, build_split_model
+from persplit.linalg import Matrix
 from persplit.scalars import Rat
 
 
@@ -67,6 +69,39 @@ def test_verify_failing_pairing_flag_exits_one(capsys, tmp_path):
     assert code == 1
     assert err.strip() == ("verification failure: pairing compatibility flag "
                            "violated: operator self-adjointness")
+
+
+def _rank_calls_per_pairing_block(monkeypatch, capsys, *argv):
+    """Run the CLI; return its outcome and how often each block of the
+    loaded pairing was ranked."""
+    loaded, ranked = [], []
+    load, rank = fileformat.load, Matrix.rank
+    monkeypatch.setattr(fileformat, "load", lambda path: loaded.append(load(path)) or loaded[-1])
+    monkeypatch.setattr(Matrix, "rank", lambda self: ranked.append(id(self)) or rank(self))
+    code, _, err = run(capsys, *argv)
+    counts = Counter(ranked)
+    return code, err, [counts[id(blk)] for blk in loaded[0].pairing.blocks.values()]
+
+
+def test_verify_ranks_each_pairing_block_once(capsys, monkeypatch, quadric_file):
+    code, _, per_block = _rank_calls_per_pairing_block(
+        monkeypatch, capsys, "verify", quadric_file, "--hodge", "--pairing", "--json")
+    assert code == 0
+    assert per_block == [1, 1, 1, 1]
+
+
+def test_verify_degenerate_pairing_ranks_once_and_exits_one(capsys, monkeypatch, tmp_path):
+    inst = quadric_cone(1).instance
+    blocks = dict(inst.pairing.blocks)
+    blocks[2] = Matrix.zero(3, 3)
+    path = tmp_path / "degenerate.json"
+    save(dataclasses.replace(inst, pairing=IntersectionPairing(3, inst.space, blocks)), path)
+    code, err, per_block = _rank_calls_per_pairing_block(
+        monkeypatch, capsys, "verify", str(path), "--hodge", "--pairing", "--json")
+    assert code == 1
+    assert err.strip() == ("verification failure: pairing compatibility flag "
+                           "violated: operator self-adjointness")
+    assert per_block == [1, 1, 0, 0]    # the verdict is settled at the zero block
 
 
 # --- split / verify ---------------------------------------------------------

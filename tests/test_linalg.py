@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from persplit.errors import DimensionMismatch, FieldMismatch, InputError
 from persplit.linalg import (Matrix, Subspace, image_of, kernel, preimage,
                              quotient_map, rref)
-from persplit.scalars import FIELD_Q, FIELD_QI, Gaussian, Rat, field_zero
+from persplit.scalars import FIELD_Q, FIELD_QI, Gaussian, Rat, field_one, field_zero
 
 from oracle_helpers import frac_matrix
 
@@ -201,3 +201,63 @@ def test_matmul_matches_dense_triple_loop(pair):
     # the zero entries are the field's own zero, not a stand-in
     assert all(type(x) is type(field_zero(a.field)) for row in got.data for x in row)
 
+
+
+# --- quotient_map against the span-and-sum construction -----------------------
+
+def span_and_sum_quotient_map(a, b):
+    """The construction ``quotient_map`` replaced: each candidate is tested
+    with ``contains_vector`` and absorbed by a fresh span and sum."""
+    n, field = a.ambient_dim, a.field
+    comp_rows, current = [], b
+    for row in a.basis.data:
+        if not current.contains_vector(row):
+            comp_rows.append(row)
+            current = current.sum(Subspace.span([row], n, field))
+    extra_rows = []
+    zero, one = field_zero(field), field_one(field)
+    for j in range(n):
+        if current.is_full():
+            break
+        unit = tuple(one if k == j else zero for k in range(n))
+        if not current.contains_vector(unit):
+            extra_rows.append(unit)
+            current = current.sum(Subspace.span([unit], n, field))
+    full = Matrix(n, n, b.basis.data + tuple(comp_rows) + tuple(extra_rows), field, _raw=True)
+    q = len(comp_rows)
+    projection = Matrix(q, n, full.transpose().inverse().data[b.dim: b.dim + q], field, _raw=True)
+    return projection, Matrix(q, n, tuple(comp_rows), field, _raw=True)
+
+
+@st.composite
+def nested_pairs(draw):
+    """(a, b) with b ⊆ a ⊆ field^n, n ∈ 0..5, both spanned by random rows."""
+    field = draw(st.sampled_from((FIELD_Q, FIELD_QI)))
+    n = draw(st.integers(0, 5))
+
+    def entry():
+        if field == FIELD_Q:
+            return Rat(draw(SMALL))
+        return Gaussian(draw(SMALL), draw(SMALL))
+
+    gens = [tuple(entry() for _ in range(n)) for _ in range(draw(st.integers(0, 5)))]
+    a = Subspace(n, Matrix(len(gens), n, tuple(gens), field), field)
+    combos = [tuple(entry() for _ in range(a.dim)) for _ in range(draw(st.integers(0, 4)))]
+    zero = field_zero(field)
+    b_rows = tuple(tuple(sum((c * row[j] for c, row in zip(combo, a.basis.data)), zero)
+                         for j in range(n)) for combo in combos)
+    return a, Subspace(n, Matrix(len(b_rows), n, b_rows, field), field)
+
+
+@settings(max_examples=100, deadline=None)
+@given(nested_pairs())
+@example((Subspace.full(3), Subspace.span([[1, 0, 0]], 3)))
+@example((Subspace.zero(2), Subspace.zero(2)))
+@example((Subspace.full(0), Subspace.zero(0)))
+def test_quotient_map_matches_span_and_sum_construction(pair):
+    a, b = pair
+    q = quotient_map(a, b)
+    projection, section = span_and_sum_quotient_map(a, b)
+    assert q.projection == projection
+    assert q.section == section
+    assert q.dim == a.dim - b.dim
