@@ -165,6 +165,16 @@ def cmd_verify(args):
     return _emit(args, "verify", inst, checks)
 
 
+def _matrix_entry(x):
+    """A rational string ``"a/b"`` or a JSON integer; floats (which lose
+    or overflow their value), booleans and anything else are refused."""
+    if isinstance(x, str):
+        return parse_rational(x)
+    if type(x) is int:
+        return Fraction(x)
+    raise ValueError(f"expected a rational string or an integer, got {json.dumps(x)}")
+
+
 def cmd_weight_filtration(args):
     with open(args.file, "r", encoding="utf-8") as fh:
         try:
@@ -174,9 +184,11 @@ def cmd_weight_filtration(args):
     if not isinstance(doc, dict) or args.operator not in doc:
         raise InputError(f"no operator named {args.operator!r} in the file")
     raw = doc[args.operator]
+    if not isinstance(raw, list) or not all(isinstance(row, list) for row in raw):
+        raise InputError(f"bad matrix for {args.operator!r}: expected a list of rows")
     try:
-        mat = Matrix.from_rows([[parse_rational(x) for x in row] for row in raw])
-    except (TypeError, ValueError) as exc:
+        mat = Matrix.from_rows([[_matrix_entry(x) for x in row] for row in raw])
+    except ValueError as exc:
         raise InputError(f"bad matrix for {args.operator!r}: {exc}") from None
     if mat.rows != mat.cols:
         raise InputError("operator matrix must be square")

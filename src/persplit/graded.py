@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .errors import InputError, VerificationFailure
-from .linalg import Matrix, QuotientMap, Subspace, image_of, kernel, quotient_map
+from .linalg import Matrix, QuotientMap, Subspace, image_of, preimage, quotient_map
 from .scalars import FIELD_Q
 
 
@@ -306,53 +306,52 @@ def graded_pieces(space: GradedSpace, filtr: Filtration, eta: GradedMap) -> Grad
     return GradedPieces(space, filtr, eta, quotients, report)
 
 
-def nilpotency_order(n_mat: Matrix):
-    """Least k with N^k = 0, or None if N is not nilpotent within dim steps."""
+def _power_ladder(n_mat: Matrix):
+    """[I, N, …, N^{k−1}] for the least k with N^k = 0, or None if N is not
+    nilpotent (then N^dim ≠ 0)."""
     if n_mat.rows != n_mat.cols:
         raise InputError("nilpotency requires a square matrix")
+    ladder = []
     power = Matrix.identity(n_mat.rows, n_mat.field)
-    for k in range(n_mat.rows + 1):
-        if power.is_zero():
-            return k
-        power = n_mat @ power
-    if power.is_zero():
-        return n_mat.rows + 1
-    return None
+    while not power.is_zero():
+        if len(ladder) == n_mat.rows:
+            return None
+        ladder.append(power)
+        power = n_mat if len(ladder) == 1 else n_mat @ power
+    return ladder
+
+
+def nilpotency_order(n_mat: Matrix):
+    """Least k with N^k = 0, or None if N is not nilpotent."""
+    ladder = _power_ladder(n_mat)
+    return None if ladder is None else len(ladder)
 
 
 def weight_filtration(n_mat: Matrix, center: int = 0) -> dict:
     """Monodromy weight filtration of a nilpotent endomorphism.
 
-    Returns the map i → W_{≤i} (a Subspace) for i in the supported
-    range, shifted so the filtration is centered at ``center``.  The
-    output is the unique increasing filtration with N·W_{≤i} ⊆ W_{≤i−2}
-    and N^j: Gr_{center+j} ≅ Gr_{center−j}; it is computed by the
-    kernel/image convolution
-        W_j = Σ_{k ≥ max(0,−j)} Ker N^{j+k+1} ∩ Im N^k.
+    Returns the map i → W_{≤i} (a Subspace) for i from center − k to
+    center + k − 1, where k is the nilpotency order.  The output is the
+    unique increasing filtration with N·W_{≤i} ⊆ W_{≤i−2} and
+    N^j: Gr_{center+j} ≅ Gr_{center−j}.
+
+    It is computed by Deligne's recursion (Weil II, §1.6): W_{l−1} =
+    Ker N^l and W_{−l} = Im N^l, then the same on Ker N^l / Im N^l with
+    the induced operator.  The subquotient is carried as a pair A ⊇ B of
+    N-stable subspaces, so each level costs one preimage and one image
+    of N^l, read from one ladder of powers.  The kernel/image
+    convolution Σ_k Ker N^{j+k+1} ∩ Im N^k gives the same filtration and
+    survives only as the test oracle.
     """
-    order = nilpotency_order(n_mat)
-    if order is None:
+    ladder = _power_ladder(n_mat)
+    if ladder is None:
         raise InputError("operator is not nilpotent")
-    dim = n_mat.rows
-    field = n_mat.field
-    kmax = order  # N^order = 0
-    kernels = {}
-    images = {}
-    power = Matrix.identity(dim, field)
-    for k in range(kmax + 2):
-        kernels[k] = kernel(power)
-        images[k] = Subspace(dim, power.transpose(), field)
-        power = n_mat @ power
-    top = kmax - 1  # highest j with W_j possibly ≠ V is below; amplitude is order−1
+    a, b = Subspace.full(n_mat.rows, n_mat.field), Subspace.zero(n_mat.rows, n_mat.field)
     steps = {}
-    for j in range(-top - 1, top + 1):
-        acc = Subspace.zero(dim, field)
-        for k in range(max(0, -j), kmax + 1):
-            exp = j + k + 1
-            if exp < 0:
-                continue
-            ker_part = kernels[min(exp, kmax)] if exp <= kmax else Subspace.full(dim, field)
-            term = ker_part.intersect(images[min(k, kmax + 1)])
-            acc = acc.sum(term)
-        steps[center + j] = acc
+    for level in range(len(ladder) - 1, -1, -1):
+        steps[center + level] = a
+        steps[center - level - 1] = b
+        if level:
+            power = ladder[level]
+            a, b = a.intersect(preimage(power, b)), b.sum(image_of(power, a))
     return steps

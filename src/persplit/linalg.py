@@ -7,9 +7,12 @@ All operations are pure; values are immutable after construction.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import lcm
+
 from ._core import rref_rows
 from .errors import DimensionMismatch, FieldMismatch, InputError
-from .scalars import FIELD_Q, FIELD_QI, Gaussian, as_field, field_one, field_zero
+from .scalars import FIELD_Q, FIELD_QI, Q_ZERO, Gaussian, as_field, field_one, field_zero
 
 
 class Matrix:
@@ -95,6 +98,9 @@ class Matrix:
             raise FieldMismatch(f"{self.field} @ {other.field}")
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
+        if self.field == FIELD_Q:
+            out = _matmul_rational(self.data, other.data, other.cols)
+            return Matrix(self.rows, other.cols, out, self.field, _raw=True)
         # Row-times-matrix over the nonzero entries only: out_row += a · b_row.
         zero = field_zero(self.field)
         sparse = [[(j, b) for j, b in enumerate(brow) if b] for brow in other.data]
@@ -170,6 +176,42 @@ class Matrix:
             raise FieldMismatch(f"{self.field} vs {other.field}")
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch(f"{self.rows}x{self.cols} vs {other.rows}x{other.cols}")
+
+
+def _matmul_rational(a_rows, b_rows, ncols):
+    """Rows of A·B over ℚ, fraction-free: B is scaled to integers by the lcm
+    of its denominators, each row of A by the lcm of that row's, and the
+    products are summed as integers over the nonzero entries only.  One
+    ``Fraction`` is built per nonzero output entry; a row of A whose only
+    term is a 1 copies the row of B."""
+    zero_row = (Q_ZERO,) * ncols
+    b_den = lcm(*[b.denominator for brow in b_rows for b in brow if b])
+    if b_den == 1:
+        sparse = [[(j, b.numerator) for j, b in enumerate(brow) if b] for brow in b_rows]
+    else:
+        sparse = [[(j, b.numerator * (b_den // b.denominator)) for j, b in enumerate(brow) if b]
+                  for brow in b_rows]
+    out = []
+    for row in a_rows:
+        terms = [(a, bnz, brow) for a, bnz, brow in zip(row, sparse, b_rows) if a and bnz]
+        if not terms:
+            out.append(zero_row)
+            continue
+        if len(terms) == 1 and terms[0][0] == 1:
+            out.append(terms[0][2])
+            continue
+        a_den = lcm(*[a.denominator for a, _, _ in terms])
+        acc = [0] * ncols
+        for a, bnz, _ in terms:
+            c = a.numerator if a_den == 1 else a.numerator * (a_den // a.denominator)
+            for j, b in bnz:
+                acc[j] += c * b
+        den = a_den * b_den
+        if den == 1:
+            out.append(tuple([Fraction(x) if x else Q_ZERO for x in acc]))
+        else:
+            out.append(tuple([Fraction(x, den) if x else Q_ZERO for x in acc]))
+    return tuple(out)
 
 
 def rref(m: Matrix) -> Matrix:
@@ -406,20 +448,30 @@ def quotient_map(a: Subspace, b: Subspace) -> QuotientMap:
             echelon.append((pivot, tuple(x / head for x in vec)))
         return pivot is not None
 
-    comp_rows = [row for row in a.basis.data if independent(row)]
-    extra_rows = []
-    zero, one = field_zero(field), field_one(field)
-    for j in range(n):
-        if len(echelon) == n:
-            break
-        unit = tuple(one if k == j else zero for k in range(n))
-        if independent(unit):
-            extra_rows.append(unit)
-    full = Matrix(n, n, b.basis.data + tuple(comp_rows) + tuple(extra_rows), field, _raw=True)
-    # Coordinates of a column vector v in the row basis: x = (fullᵗ)⁻¹ v.
-    coords = full.transpose().inverse()
+    comp_rows = tuple(row for row in a.basis.data if independent(row))
     q = len(comp_rows)
-    proj_rows = coords.data[b.dim: b.dim + q]
+    if all(_is_unit_vector(row) for row in b.basis.data + comp_rows):
+        # Completed by the missing unit vectors, the basis is a permutation
+        # matrix P, and (Pᵗ)⁻¹ = P: the coordinate rows are the rows.
+        proj_rows = comp_rows
+    else:
+        extra_rows = []
+        zero, one = field_zero(field), field_one(field)
+        for j in range(n):
+            if len(echelon) == n:
+                break
+            unit = tuple(one if k == j else zero for k in range(n))
+            if independent(unit):
+                extra_rows.append(unit)
+        full = Matrix(n, n, b.basis.data + comp_rows + tuple(extra_rows), field, _raw=True)
+        # Coordinates of a column vector v in the row basis: x = (fullᵗ)⁻¹ v.
+        proj_rows = full.transpose().inverse().data[b.dim: b.dim + q]
     projection = Matrix(q, n, proj_rows, field, _raw=True)
-    section = Matrix(q, n, tuple(comp_rows), field, _raw=True)
+    section = Matrix(q, n, comp_rows, field, _raw=True)
     return QuotientMap(a, b, projection, section)
+
+
+def _is_unit_vector(row):
+    """Exactly one nonzero entry, and it is 1."""
+    nonzero = [x for x in row if x]
+    return len(nonzero) == 1 and nonzero[0] == 1

@@ -172,6 +172,34 @@ def test_weight_filtration_missing_operator(capsys, tmp_path):
     assert code == 2
 
 
+ENTRY_REFUSED = "expected a rational string or an integer"
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"N": [[1e400]]}', ENTRY_REFUSED),             # a float that overflows
+    ('{"N": [[0.5]]}', ENTRY_REFUSED),               # a float, even an exact one
+    ('{"N": [[true]]}', ENTRY_REFUSED),              # a boolean is not the integer 1
+    ('{"N": [[null]]}', ENTRY_REFUSED),
+    ('{"N": [["0", "1"], ["0"]]}', "expected 2x2 entries"),    # ragged
+    ('{"N": null}', "expected a list of rows"),
+    ('{"N": "0"}', "expected a list of rows"),       # a string is not a list of rows
+], ids=["1e400", "0.5", "true", "null", "ragged", "null-matrix", "string-matrix"])
+def test_weight_filtration_malformed_entries_are_input_errors(capsys, tmp_path, text, message):
+    path = tmp_path / "ops.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "weight-filtration", str(path), "--operator", "N")
+    assert code == 2 and err.startswith("input error:") and message in err and not out
+
+
+def test_weight_filtration_accepts_json_integers(capsys, tmp_path):
+    as_strings, as_ints = tmp_path / "strings.json", tmp_path / "ints.json"
+    as_strings.write_text(json.dumps({"N": [["0", "1"], ["0", "0"]]}))
+    as_ints.write_text(json.dumps({"N": [[0, 1], [0, 0]]}))
+    outputs = [run(capsys, "weight-filtration", str(path), "--operator", "N", "--json")
+               for path in (as_strings, as_ints)]
+    assert outputs[0] == outputs[1] and outputs[0][0] == 0
+
+
 # --- corpus / suite ---------------------------------------------------------
 
 def test_corpus_quadric_cone_round_trips(capsys, tmp_path):

@@ -2,20 +2,23 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from persplit.corpus import GeneratorProfile, quadric_cone, random_instance
 from persplit.errors import InputError, VerificationFailure
-from persplit.graded import (Filtration, GradedMap, GradedSpace,
+from persplit.graded import (Filtration, GradedMap, GradedSpace, _power_ladder,
                              check_strict_compatibility, graded_pieces,
                              nilpotency_order, validate_filtration,
                              weight_filtration)
 from persplit.instance import PerverseLefschetzInstance
 from persplit.linalg import Matrix, Subspace, preimage
-from persplit.scalars import Rat
+from persplit.scalars import FIELD_Q, FIELD_QI, Gaussian, Rat
 
 from oracle_helpers import (enumerate_axiom_filtrations, frac_matrix,
                             random_nilpotent, small_subspace_lattice,
                             weight_axioms_hold)
+from test_backend import SMALL_Q
+from weight_oracle import oracle_weight_filtration
 
 
 def trivial_instance(dims):
@@ -321,3 +324,125 @@ def test_weight_filtration_uniqueness_exhaustive_small():
             computed = weight_filtration(n)
             ours = {i: computed[i] for i in index_range}
             assert found[0] == ours
+
+
+# --- Deligne's recursion against the convolution oracle ----------------------
+
+def partitions(n, largest=None):
+    largest = n if largest is None else largest
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest), 0, -1):
+        for rest in partitions(n - part, part):
+            yield (part,) + rest
+
+
+def jordan_nilpotent(parts, field=FIELD_Q):
+    """Nilpotent Jordan form with blocks of the given sizes."""
+    n = sum(parts)
+    block_starts = {sum(parts[:k]) for k in range(len(parts))}
+    return Matrix(n, n, [[1 if j == i + 1 and j not in block_starts else 0 for j in range(n)]
+                         for i in range(n)], field)
+
+
+def shears_matrix(n, shears, field=FIELD_Q):
+    """Product of the elementary matrices I + c·E_{rc}: unimodular."""
+    u = Matrix.identity(n, field)
+    for r, col, c in shears:
+        if r != col:
+            u = Matrix(n, n, [[1 if i == j else c if (i, j) == (r, col) else 0
+                               for j in range(n)] for i in range(n)], field) @ u
+    return u
+
+
+def conjugate(n_mat, u):
+    return u @ n_mat @ u.inverse()
+
+
+SMALL_GAUSSIAN_INT = st.builds(Gaussian, st.integers(-2, 2), st.integers(-1, 1))
+
+
+@st.composite
+def nilpotent_cases(draw):
+    """(N, center): a strictly upper-triangular pattern, a Jordan form of a
+    drawn partition type, the zero operator or the 0×0 matrix, over ℚ or
+    ℚ(i), conjugated by a drawn unimodular matrix."""
+    field = draw(st.sampled_from((FIELD_Q, FIELD_QI)))
+    kind = draw(st.sampled_from(("triangular", "jordan", "zero", "empty")))
+    n = 0 if kind == "empty" else draw(st.integers(1, 6))
+    if kind == "triangular":
+        entry = SMALL_Q if field == FIELD_Q else st.builds(Gaussian, SMALL_Q, SMALL_Q)
+        n_mat = Matrix(n, n, [[draw(st.one_of(st.just(0), entry)) if j > i else 0
+                               for j in range(n)] for i in range(n)], field)
+    elif kind == "jordan":
+        n_mat = jordan_nilpotent(draw(st.sampled_from(list(partitions(n)))), field)
+    else:
+        n_mat = Matrix.zero(n, n, field)
+    coeff = st.integers(-2, 2) if field == FIELD_Q else SMALL_GAUSSIAN_INT
+    index = st.integers(0, max(n - 1, 0))
+    shears = draw(st.lists(st.tuples(index, index, coeff), max_size=2 * n))
+    return conjugate(n_mat, shears_matrix(n, shears, field)), draw(st.integers(-3, 3))
+
+
+@settings(max_examples=120, deadline=None)
+@given(nilpotent_cases())
+@example((Matrix.zero(0, 0), 0))
+@example((Matrix.zero(0, 0, FIELD_QI), 4))
+@example((Matrix.zero(3, 3), -2))
+@example((Matrix.zero(2, 2, FIELD_QI), 1))
+@example((jordan_nilpotent((3, 1), FIELD_QI), 0))
+def test_recursion_matches_convolution_oracle(case):
+    n_mat, center = case
+    got = weight_filtration(n_mat, center)
+    assert got == oracle_weight_filtration(n_mat, center)
+    order = nilpotency_order(n_mat)
+    assert sorted(got) == list(range(center - order, center + order))
+
+
+def test_recursion_matches_oracle_on_every_partition_type_up_to_six():
+    rng = random.Random(6)
+    for n in range(1, 7):
+        for parts in partitions(n):
+            for field in (FIELD_Q, FIELD_QI):
+                shears = [(rng.randrange(n), rng.randrange(n), rng.randint(-2, 2))
+                          for _ in range(2 * n)]
+                u = shears_matrix(n, shears, field)
+                for n_mat in (jordan_nilpotent(parts, field),
+                              conjugate(jordan_nilpotent(parts, field), u)):
+                    for center in (0, 3):
+                        got = weight_filtration(n_mat, center)
+                        assert got == oracle_weight_filtration(n_mat, center), (parts, field)
+                        # a block of size k has weights k − 1, k − 3, …, 1 − k
+                        weights = [k - 1 - 2 * j for k in parts for j in range(k)]
+                        assert [got[center + w].dim for w in range(-parts[0], parts[0])] == \
+                            [sum(1 for x in weights if x <= w) for w in range(-parts[0], parts[0])]
+
+
+def test_power_ladder_holds_each_power_once():
+    n_mat = jordan_nilpotent((4, 2))
+    ladder = _power_ladder(n_mat)
+    assert len(ladder) == nilpotency_order(n_mat) == 4
+    assert ladder[0] == Matrix.identity(6) and ladder[1] is n_mat
+    for k in range(2, 4):
+        assert ladder[k] == n_mat @ ladder[k - 1] and not ladder[k].is_zero()
+    assert (n_mat @ ladder[-1]).is_zero()
+    assert _power_ladder(Matrix.zero(0, 0)) == []
+    assert _power_ladder(Matrix.zero(2, 2)) == [Matrix.identity(2)]
+    assert _power_ladder(frac_matrix([[0, 1], [1, 0]])) is None
+    with pytest.raises(InputError):
+        _power_ladder(Matrix.zero(2, 3))
+
+
+def test_weight_filtration_multiplies_by_n_only_to_build_the_ladder(monkeypatch):
+    n_mat = jordan_nilpotent((5, 3, 1))
+    left_factors = []
+    matmul = Matrix.__matmul__
+
+    def counting(self, other):
+        left_factors.append(self)
+        return matmul(self, other)
+    monkeypatch.setattr(Matrix, "__matmul__", counting)
+    weight_filtration(n_mat)
+    # N², …, N⁵ once each (N⁵ = 0 ends the ladder); nothing else is N·X
+    assert sum(1 for m in left_factors if m is n_mat) == 4

@@ -9,6 +9,7 @@ from persplit.linalg import (Matrix, Subspace, image_of, kernel, preimage,
 from persplit.scalars import FIELD_Q, FIELD_QI, Gaussian, Rat, field_one, field_zero
 
 from oracle_helpers import frac_matrix
+from test_backend import BIG_Q
 
 
 # --- reduced row echelon form ---------------------------------------------
@@ -169,13 +170,14 @@ SMALL = st.sampled_from((0, 0, 0, 1, -1, 2, Rat(1, 3)))
 @st.composite
 def matrix_pairs(draw):
     """(a, b) of shapes (m, n) and (n, p), m, n, p ∈ 0..4, over Q or Q(i),
-    sparse enough that zero rows and zero columns are common."""
+    sparse enough that zero rows and zero columns are common; over Q some
+    entries have denominators up to 10^6 that differ within a row."""
     field = draw(st.sampled_from((FIELD_Q, FIELD_QI)))
     m, n, p = (draw(st.integers(0, 4)) for _ in range(3))
 
     def entry():
         if field == FIELD_Q:
-            return Rat(draw(SMALL))
+            return Rat(draw(st.one_of(SMALL, SMALL, BIG_Q)))
         return Gaussian(draw(SMALL), draw(SMALL))
 
     a = Matrix(m, n, tuple(tuple(entry() for _ in range(n)) for _ in range(m)), field)
@@ -192,9 +194,22 @@ def matrix_pairs(draw):
 @example((Matrix.zero(2, 0, FIELD_QI), Matrix.zero(0, 3, FIELD_QI)))
 @example((frac_matrix([[0, 0], [1, 2]]), frac_matrix([[0, 3], [0, 4]])))
 @example((frac_matrix([[0, 0, 0], [1, 0, 2]]), frac_matrix([[1, 0], [5, 0], [0, 0]])))
+# all-integer operands
+@example((frac_matrix([[2, -3, 0], [0, 1, 7]]), frac_matrix([[1, 0], [-4, 5], [6, 0]])))
+# one dense row with mixed denominators, against big denominators in b
+@example((frac_matrix([[Rat(1, 2), Rat(-2, 3), Rat(5, 999_983)]]),
+          frac_matrix([[Rat(7, 10**6), 1, Rat(-1, 6)], [Rat(3, 4), 0, Rat(2, 999_999)],
+                       [1, Rat(1, 5), Rat(-9, 8)]])))
+# an all-zero row of a and an all-zero column of b
+@example((frac_matrix([[0, 0], [Rat(1, 3), 2]]), frac_matrix([[1, 0], [Rat(1, 2), 0]])))
+# a row of a that is one 1, whose product is the row of b
+@example((frac_matrix([[0, 1], [1, 1]]), frac_matrix([[Rat(1, 3), 0], [0, Rat(2, 5)]])))
 def test_matmul_matches_dense_triple_loop(pair):
     a, b = pair
+    before = ([list(r) for r in a.data], [list(r) for r in b.data])
     got = a @ b
+    assert ([list(r) for r in a.data], [list(r) for r in b.data]) == before, \
+        "matmul mutated an operand"
     want = naive_matmul(a, b)
     assert got == want
     assert (got.rows, got.cols, got.field) == (a.rows, b.cols, a.field)
@@ -249,6 +264,21 @@ def nested_pairs(draw):
     return a, Subspace(n, Matrix(len(b_rows), n, b_rows, field), field)
 
 
+@st.composite
+def coordinate_nested_pairs(draw):
+    """(a, b) with b ⊆ a both spanned by unit vectors: the extended basis
+    is a permutation matrix."""
+    field = draw(st.sampled_from((FIELD_Q, FIELD_QI)))
+    n = draw(st.integers(0, 6))
+    a_axes = sorted(draw(st.sets(st.integers(0, n - 1)))) if n else []
+    b_axes = sorted(draw(st.sets(st.sampled_from(a_axes)))) if a_axes else []
+
+    def span(axes):
+        return Subspace.span([[int(k == j) for k in range(n)] for j in axes], n, field)
+
+    return span(a_axes), span(b_axes)
+
+
 @settings(max_examples=100, deadline=None)
 @given(nested_pairs())
 @example((Subspace.full(3), Subspace.span([[1, 0, 0]], 3)))
@@ -261,3 +291,19 @@ def test_quotient_map_matches_span_and_sum_construction(pair):
     assert q.projection == projection
     assert q.section == section
     assert q.dim == a.dim - b.dim
+
+
+@settings(max_examples=50, deadline=None)
+@given(coordinate_nested_pairs())
+@example((Subspace.span([[0, 1, 0], [0, 0, 1]], 3), Subspace.span([[0, 0, 1]], 3)))
+def test_quotient_map_reads_a_permutation_basis_without_inverting(pair):
+    a, b = pair
+
+    def no_inverse(self):
+        raise AssertionError("inverse() called on a permutation basis")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Matrix, "inverse", no_inverse)
+        q = quotient_map(a, b)
+    projection, section = span_and_sum_quotient_map(a, b)
+    assert q.projection == projection and q.section == section
+    assert q.projection.data == q.section.data
