@@ -232,9 +232,9 @@ def _write_instance(inst, path):
 
 def cmd_corpus_quadric_cone(args):
     try:
-        m = Fraction(args.m)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad rational for --m: {exc}") from None
+        m = parse_rational(args.m)
+    except ValueError as exc:
+        raise InputError(f"--m: {exc}") from None
     _write_instance(quadric_cone(m).instance, args.output)
     return EXIT_PASS
 
@@ -250,8 +250,9 @@ def _suite_one(seed, profile):
     verdicts = {}
     ri = random_instance(seed, profile)
     inst = ri.instance
-    # The schedule/direct comparison checks the schedule's containments;
-    # assembly proves the result by uniqueness (both raise on failure).
+    # The schedule checks its own containments, the schedule/direct
+    # comparison checks that two intersection orders agree, and assembly
+    # proves the result by uniqueness (all three raise on failure).
     result = compute_splitting(inst)
     verdicts["two-path agreement and assembly"] = True
     expected = apply_graded_auto(ri.twist, ri.truth.summands)

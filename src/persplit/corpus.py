@@ -172,6 +172,11 @@ def split_model_pairing(inst: PerverseLefschetzInstance, cells) -> IntersectionP
                    for d, rows in blocks.items()})
 
 
+# least value of each count in a profile; the other fields are flags
+_COUNT_MINIMUM = {"max_strings": 1, "max_string_length": 0, "degree_span": 0,
+                  "max_mult": 1, "twist_bound": 0}
+
+
 @dataclass(frozen=True)
 class GeneratorProfile:
     """Bounds for the seeded instance generator."""
@@ -201,6 +206,16 @@ class GeneratorProfile:
         bad = set(rec) - known
         if bad:
             raise InputError(f"unknown profile fields: {sorted(bad)}")
+        for name, value in rec.items():
+            low = _COUNT_MINIMUM.get(name)
+            if low is None:
+                if type(value) is not bool:
+                    raise InputError(f"profile field {name!r} must be true or false, "
+                                     f"got {value!r}")
+            elif type(value) is not int:
+                raise InputError(f"profile field {name!r} must be an integer, got {value!r}")
+            elif value < low:
+                raise InputError(f"profile field {name!r} must be ≥ {low}, got {value}")
         return cls(**rec)
 
 

@@ -12,17 +12,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CompatibilityFailure, InputError, PreconditionFailure
-from .graded import GradedMap, GradedSpace
+from .graded import GradedMap, GradedSpace, memoized
 from .hodge import HodgeBigrading, is_shs
 from .instance import PerverseLefschetzInstance
-from .linalg import Matrix, Subspace, image_of, kernel, rref
+from .linalg import Matrix, Subspace, kernel
 from .scalars import FIELD_Q
 
 
 class IntersectionPairing:
     """Blockwise pairing V^d × V^{2n−d} → Q with center n."""
 
-    __slots__ = ("center", "space", "blocks", "_nondegenerate")
+    __slots__ = ("center", "space", "blocks", "_hash", "_memo")
 
     def __init__(self, center: int, space: GradedSpace, blocks):
         norm = {}
@@ -38,7 +38,9 @@ class IntersectionPairing:
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "blocks", norm)
-        object.__setattr__(self, "_nondegenerate", None)   # set by is_nondegenerate
+        object.__setattr__(self, "_hash", hash((center, frozenset(space.dims.items()),
+                                                frozenset(norm.items()))))
+        object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("IntersectionPairing is immutable")
@@ -48,6 +50,9 @@ class IntersectionPairing:
             return NotImplemented
         return (self.center, self.space, self.blocks) == \
             (other.center, other.space, other.blocks)
+
+    def __hash__(self):
+        return self._hash
 
     def block(self, d) -> Matrix:
         blk = self.blocks.get(d)
@@ -62,11 +67,9 @@ class IntersectionPairing:
 
     def is_nondegenerate(self) -> bool:
         """Every block is square and invertible; ranked once per pairing."""
-        if self._nondegenerate is None:
-            verdict = all(blk.rows == blk.cols and blk.rank() == blk.rows
-                          for blk in map(self.block, self.space.degrees))
-            object.__setattr__(self, "_nondegenerate", verdict)
-        return self._nondegenerate
+        return memoized(self._memo, ("is_nondegenerate",), lambda: all(
+            blk.rows == blk.cols and blk.rank() == blk.rows
+            for blk in map(self.block, self.space.degrees)))
 
     def is_symmetric_up_to_sign(self) -> bool:
         return all(self.block(d) == self.block(2 * self.center - d).transpose()
@@ -137,7 +140,7 @@ def orthogonal_characterization(inst: PerverseLefschetzInstance,
     Uses neither the preimage cuts nor the graded pieces, so agreement
     with the schedule is independent evidence.  Requires both
     compatibility flags (η-self-adjointness and filtration self-duality)."""
-    failed = _failed_compatibility(inst, pairing)
+    failed = inst.failed_compatibility(pairing)
     if failed is not None:
         raise CompatibilityFailure(failed)
     n2 = 2 * pairing.center
@@ -145,32 +148,8 @@ def orthogonal_characterization(inst: PerverseLefschetzInstance,
     for s in range(i + 1, inst.amplitude + 1):
         if inst.space.dim(n2 - d - 2 * s) == 0:
             continue
-        current = current.intersect(_orthogonal_cut(inst, pairing, d, s))
+        current = current.intersect(inst.orthogonal_cut(pairing, d, s))
     return current
-
-
-# The two memos below are cached on the instance; each entry keeps
-# ``pairing`` alive, so its id in the key stays its own.
-
-def _failed_compatibility(inst, pairing) -> str | None:
-    """The first compatibility flag that fails, or None; checked once per
-    instance and pairing."""
-    def compute():
-        if not pairing.eta_self_adjoint(inst.eta):
-            return pairing, "operator self-adjointness"
-        if not pairing.filtration_self_dual(inst):
-            return pairing, "filtration self-duality"
-        return pairing, None
-    return inst.cached(("compatibility", id(pairing)), compute)[1]
-
-
-def _orthogonal_cut(inst, pairing, d, s) -> Subspace:
-    """(η^s(W_{≤−s}V^{2n−d−2s}))^⊥ ⊆ V^d."""
-    def compute():
-        src_d = 2 * pairing.center - d - 2 * s
-        pushed = image_of(inst.eta.power_block(src_d, s), inst.filtration.at(src_d, -s))
-        return pairing, pairing.perp(pushed, d)
-    return inst.cached(("orthogonal cut", id(pairing), d, s), compute)[1]
 
 
 def orthogonal_mismatch(inst: PerverseLefschetzInstance, pairing: IntersectionPairing,

@@ -32,6 +32,10 @@ def _matrix_record(m: Matrix):
     return [[format_scalar(x) for x in row] for row in m.data]
 
 
+def _blocks_record(blocks: dict):
+    return [{"d": d, "matrix": _matrix_record(blk)} for d, blk in sorted(blocks.items())]
+
+
 def serialize_instance(inst: PerverseLefschetzInstance) -> dict:
     doc = {
         "format": FORMAT_NAME,
@@ -47,10 +51,7 @@ def serialize_instance(inst: PerverseLefschetzInstance) -> dict:
             {"d": d, "i": i, "basis": _matrix_record(sub.basis)}
             for (d, i), sub in sorted(inst.filtration.steps.items())
         ],
-        "eta": [
-            {"d": d, "matrix": _matrix_record(blk)}
-            for d, blk in sorted(inst.eta.blocks.items())
-        ],
+        "eta": _blocks_record(inst.eta.blocks),
     }
     if inst.hodge is not None:
         doc["hodge"] = [
@@ -58,21 +59,11 @@ def serialize_instance(inst: PerverseLefschetzInstance) -> dict:
             for (d, p, q), sub in sorted(inst.hodge.pieces.items())
         ]
     if inst.pairing is not None:
-        doc["pairing"] = {
-            "n": inst.pairing.center,
-            "blocks": [
-                {"d": d, "matrix": _matrix_record(blk)}
-                for d, blk in sorted(inst.pairing.blocks.items())
-            ],
-        }
+        doc["pairing"] = {"n": inst.pairing.center,
+                          "blocks": _blocks_record(inst.pairing.blocks)}
     if inst.groups is not None:
         doc["groups"] = [
-            {"name": name,
-             "generators": [
-                 [{"d": d, "matrix": _matrix_record(blk)}
-                  for d, blk in sorted(gen.blocks.items())]
-                 for gen in gens
-             ]}
+            {"name": name, "generators": [_blocks_record(gen.blocks) for gen in gens]}
             for name, gens in sorted(inst.groups.items())
         ]
     return doc
@@ -126,6 +117,20 @@ def _parse_matrix(rows, cols, obj, pointer, field=FIELD_Q):
     return Matrix(rows, cols, data, field)
 
 
+def _parse_blocks(records, pointer, noun, dims, shape):
+    """``{d: matrix}`` from a list of ``{"d", "matrix"}`` records; the
+    block at degree d must have shape ``shape(d)``."""
+    blocks = {}
+    for k, rec in enumerate(records):
+        ptr = f"{pointer}/{k}"
+        d = _get(rec, "d", ptr, int)
+        _expect(d in dims, f"{noun} block in unknown degree {d}", f"{ptr}/d")
+        _expect(d not in blocks, f"duplicate {noun} block at degree {d}", ptr)
+        blocks[d] = _parse_matrix(*shape(d), _get(rec, "matrix", ptr, list),
+                                  f"{ptr}/matrix")
+    return blocks
+
+
 def parse_instance(doc) -> PerverseLefschetzInstance:
     _expect(isinstance(doc, dict), "top-level value must be an object", "")
     _expect(doc.get("format") == FORMAT_NAME,
@@ -162,14 +167,8 @@ def parse_instance(doc) -> PerverseLefschetzInstance:
         steps[(d, i)] = Subspace(dims[d], mat)
     filtration = Filtration(space, steps)
 
-    eta_blocks = {}
-    for k, rec in enumerate(_get(doc, "eta", "", list)):
-        ptr = f"/eta/{k}"
-        d = _get(rec, "d", ptr, int)
-        _expect(d in dims, f"operator block in unknown degree {d}", f"{ptr}/d")
-        _expect(d not in eta_blocks, f"duplicate operator block at degree {d}", ptr)
-        eta_blocks[d] = _parse_matrix(dims.get(d + 2, 0), dims[d],
-                                      _get(rec, "matrix", ptr, list), f"{ptr}/matrix")
+    eta_blocks = _parse_blocks(_get(doc, "eta", "", list), "/eta", "operator", dims,
+                               lambda d: (dims.get(d + 2, 0), dims[d]))
     eta = GradedMap(2, eta_blocks, space)
 
     hodge = None
@@ -196,14 +195,8 @@ def parse_instance(doc) -> PerverseLefschetzInstance:
         n = _get(rec, "n", "/pairing", int)
         _expect(n == center, "pairing center differs from the instance center",
                 "/pairing/n")
-        blocks = {}
-        for k, brec in enumerate(_get(rec, "blocks", "/pairing", list)):
-            ptr = f"/pairing/blocks/{k}"
-            d = _get(brec, "d", ptr, int)
-            _expect(d in dims, f"pairing block in unknown degree {d}", f"{ptr}/d")
-            _expect(d not in blocks, f"duplicate pairing block at degree {d}", ptr)
-            blocks[d] = _parse_matrix(dims[d], dims.get(2 * n - d, 0),
-                                      _get(brec, "matrix", ptr, list), f"{ptr}/matrix")
+        blocks = _parse_blocks(_get(rec, "blocks", "/pairing", list), "/pairing/blocks",
+                               "pairing", dims, lambda d: (dims[d], dims.get(2 * n - d, 0)))
         pairing = IntersectionPairing(n, space, blocks)
 
     groups = None
@@ -215,16 +208,9 @@ def parse_instance(doc) -> PerverseLefschetzInstance:
             gens = []
             for g, grec in enumerate(_get(rec, "generators", ptr, list)):
                 gptr = f"{ptr}/generators/{g}"
-                blocks = {}
                 _expect(isinstance(grec, list), "expected a list of blocks", gptr)
-                for b, brec in enumerate(grec):
-                    bptr = f"{gptr}/{b}"
-                    d = _get(brec, "d", bptr, int)
-                    _expect(d in dims, f"generator block in unknown degree {d}",
-                            f"{bptr}/d")
-                    blocks[d] = _parse_matrix(dims[d], dims[d],
-                                              _get(brec, "matrix", bptr, list),
-                                              f"{bptr}/matrix")
+                blocks = _parse_blocks(grec, gptr, "generator", dims,
+                                       lambda d: (dims[d], dims[d]))
                 gens.append(GradedMap(0, blocks, space))
             groups[name] = tuple(gens)
 

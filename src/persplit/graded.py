@@ -7,11 +7,22 @@ jump positions and clamps to the zero/full subspace outside them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .errors import InputError, VerificationFailure
 from .linalg import Matrix, QuotientMap, Subspace, image_of, preimage, quotient_map
 from .scalars import FIELD_Q
+
+
+def memoized(memo: dict, key, compute):
+    """``memo[key]``, set to ``compute()`` on first use.  Each immutable
+    object that derives values from itself owns one such dict, its
+    ``_memo``, keyed by the accessor's name and arguments; a derived value
+    stays valid for as long as its owner lives.  (``lefschetz`` keeps its
+    hard Lefschetz reports in a dict keyed weakly by the pieces.)"""
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
 
 
 class GradedSpace:
@@ -40,9 +51,6 @@ class GradedSpace:
     def degrees(self):
         return sorted(self.dims)
 
-    def total_dim(self):
-        return sum(self.dims.values())
-
     def __eq__(self, other):
         if not isinstance(other, GradedSpace):
             return NotImplemented
@@ -55,7 +63,7 @@ class GradedSpace:
 class GradedMap:
     """Degree-homogeneous map of graded spaces; missing blocks are zero."""
 
-    __slots__ = ("shift", "blocks", "source", "target", "_powers")
+    __slots__ = ("shift", "blocks", "source", "target", "_memo")
 
     def __init__(self, shift, blocks, source: GradedSpace, target: GradedSpace | None = None):
         target = target if target is not None else source
@@ -69,7 +77,7 @@ class GradedMap:
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
-        object.__setattr__(self, "_powers", {})   # (d, s) -> power_block(d, s)
+        object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("GradedMap is immutable")
@@ -89,16 +97,14 @@ class GradedMap:
             raise InputError("negative power")
         if self.source is not self.target and self.source != self.target and s > 1:
             raise InputError("powers require an endomorphism")
-        out = self._powers.get((d, s))
-        if out is None:
+
+        def compute():
             if s == 0:
-                out = Matrix.identity(self.source.dim(d))
-            elif s == 1:
-                out = self.block(d)
-            else:
-                out = self.block(d + (s - 1) * self.shift) @ self.power_block(d, s - 1)
-            self._powers[(d, s)] = out
-        return out
+                return Matrix.identity(self.source.dim(d))
+            if s == 1:
+                return self.block(d)
+            return self.block(d + (s - 1) * self.shift) @ self.power_block(d, s - 1)
+        return memoized(self._memo, ("power_block", d, s), compute)
 
     def compose(self, other: "GradedMap") -> "GradedMap":
         """self ∘ other."""
@@ -235,8 +241,8 @@ def check_strict_compatibility(filtr: Filtration, eta: GradedMap):
 class GradedPieces:
     """Quotients Gr_i V^d with recorded bases and the induced operator blocks."""
 
-    __slots__ = ("space", "filtration", "eta", "quotients", "report", "_e_powers",
-                 "_hl_report")
+    __slots__ = ("space", "filtration", "eta", "quotients", "report", "_memo",
+                 "__weakref__")   # a key of lefschetz's hard Lefschetz memo
 
     def __init__(self, space, filtration, eta, quotients, report):
         object.__setattr__(self, "space", space)
@@ -244,8 +250,7 @@ class GradedPieces:
         object.__setattr__(self, "eta", eta)
         object.__setattr__(self, "quotients", quotients)
         object.__setattr__(self, "report", report)
-        object.__setattr__(self, "_e_powers", {})   # (d, i, s) -> e_power_block(d, i, s)
-        object.__setattr__(self, "_hl_report", None)  # set by lefschetz.require_hard_lefschetz
+        object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("GradedPieces is immutable")
@@ -270,25 +275,19 @@ class GradedPieces:
         if tgt_dim == 0:
             return Matrix.zero(0, src.dim)
         tgt = self.quotients[(d + 2, i + 2)]
-        cols = [tgt.project_vector(self.eta.block(d).apply(rep))
-                for rep in src.section.data]
-        return Matrix(tgt_dim, src.dim, tuple(zip(*cols)) if cols else (), FIELD_Q,
-                      _raw=True) if cols else Matrix.zero(tgt_dim, 0)
+        return tgt.projection @ self.eta.block(d) @ src.section.transpose()
 
     def e_power_block(self, d, i, s) -> Matrix:
         """Induced block Gr_i V^d → Gr_{i+2s} V^{d+2s} of e^s, computed once
         per (d, i, s) from the cached one-step blocks."""
-        out = self._e_powers.get((d, i, s))
-        if out is None:
+        def compute():
             if s <= 0:
-                out = Matrix.identity(self.dim(d, i))
-            elif s == 1:
-                out = self.e_block(d, i)
-            else:
-                k = 2 * (s - 1)
-                out = self.e_power_block(d + k, i + k, 1) @ self.e_power_block(d, i, s - 1)
-            self._e_powers[(d, i, s)] = out
-        return out
+                return Matrix.identity(self.dim(d, i))
+            if s == 1:
+                return self.e_block(d, i)
+            k = 2 * (s - 1)
+            return self.e_power_block(d + k, i + k, 1) @ self.e_power_block(d, i, s - 1)
+        return memoized(self._memo, ("e_power_block", d, i, s), compute)
 
 
 def graded_pieces(space: GradedSpace, filtr: Filtration, eta: GradedMap) -> GradedPieces:

@@ -111,13 +111,7 @@ def is_shs(sub: Subspace, bigrading: HodgeBigrading, d: int) -> bool:
 def is_hs_map(f: GradedMap, a: int, src: HodgeBigrading, dst: HodgeBigrading):
     """True iff every piece (p,q) maps into the target piece (p+a, q+a)."""
     for (d, p, q), piece in src.pieces.items():
-        td = d + f.shift
-        if dst.space.dim(td) == 0:
-            block = f.block(d)
-            if image_of(block.complexify(), piece).dim:
-                return False
-            continue
-        target = dst.pieces.get((td, p + a, q + a))
+        target = dst.pieces.get((d + f.shift, p + a, q + a))
         img = image_of(f.block(d).complexify(), piece)
         if img.dim and (target is None or not target.contains(img)):
             return False

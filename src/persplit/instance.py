@@ -4,13 +4,13 @@ bigrading and intersection pairing."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import InputError
-from .graded import (Filtration, GradedMap, GradedSpace, graded_pieces,
+from .graded import (Filtration, GradedMap, GradedSpace, graded_pieces, memoized,
                      validate_filtration)
-from .linalg import Subspace, preimage
+from .linalg import Subspace, image_of, preimage
 
 
 @dataclass(frozen=True)
@@ -22,6 +22,7 @@ class PerverseLefschetzInstance:
     hodge: "object | None" = None      # hodge.HodgeBigrading
     pairing: "object | None" = None    # duality.IntersectionPairing
     groups: "dict | None" = None       # name -> tuple of degree-0 GradedMaps
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.eta.shift != 2:
@@ -41,26 +42,31 @@ class PerverseLefschetzInstance:
     def pieces(self):
         return graded_pieces(self.space, self.filtration, self.eta)
 
-    @cached_property
-    def _cache(self):
-        return {}
-
-    def cached(self, key, compute):
-        """``compute()``, run once per instance and ``key``.  The instance
-        is immutable, so a value derived from it stays valid as long as
-        the instance lives.  Each key belongs to one named accessor:
-        ``cut`` here, the orthogonal cuts and the compatibility verdict in
-        ``duality``.  The operator powers are cached on ``eta``."""
-        cache = self._cache
-        if key not in cache:
-            cache[key] = compute()
-        return cache[key]
-
     def cut(self, d, s, level) -> Subspace:
         """{v ∈ V^d : η^s v ∈ W_{≤level}V^{d+2s}}, the preimage cut shared
         by the schedule, the direct characterization and their checks."""
-        return self.cached(("cut", d, s, level), lambda: preimage(
+        return memoized(self._memo, ("cut", d, s, level), lambda: preimage(
             self.eta.power_block(d, s), self.filtration.at(d + 2 * s, level)))
+
+    def orthogonal_cut(self, pairing, d, s) -> Subspace:
+        """(η^s(W_{≤−s}V^{2n−d−2s}))^⊥ ⊆ V^d under ``pairing`` (a
+        ``duality.IntersectionPairing`` with center n)."""
+        def compute():
+            src_d = 2 * pairing.center - d - 2 * s
+            pushed = image_of(self.eta.power_block(src_d, s), self.filtration.at(src_d, -s))
+            return pairing.perp(pushed, d)
+        return memoized(self._memo, ("orthogonal_cut", pairing, d, s), compute)
+
+    def failed_compatibility(self, pairing) -> str | None:
+        """The first compatibility flag of ``pairing`` with this instance
+        that fails, or None."""
+        def compute():
+            if not pairing.eta_self_adjoint(self.eta):
+                return "operator self-adjointness"
+            if not pairing.filtration_self_dual(self):
+                return "filtration self-duality"
+            return None
+        return memoized(self._memo, ("failed_compatibility", pairing), compute)
 
     def label(self, d, j):
         labels = self.space.labels.get(d)

@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from weakref import WeakKeyDictionary
 
 from .errors import InputError, VerificationFailure
-from .graded import Filtration, GradedMap, GradedPieces, GradedSpace
+from .graded import Filtration, GradedMap, GradedPieces, GradedSpace, memoized
 from .instance import PerverseLefschetzInstance
 from .linalg import Matrix, Subspace, image_of, kernel
 from .scalars import FIELD_Q, Rat
@@ -69,13 +70,18 @@ class PrimitiveTable:
         return sorted(self.table)
 
 
+_hl_memo = WeakKeyDictionary()   # GradedPieces -> its HardLefschetzReport
+
+
+def hard_lefschetz_report(gp: GradedPieces) -> HardLefschetzReport:
+    """``check_hard_lefschetz(gp)``, run once per ``gp`` and dropped with it."""
+    return memoized(_hl_memo, gp, lambda: check_hard_lefschetz(gp))
+
+
 def require_hard_lefschetz(gp: GradedPieces):
     """Raise ``VerificationFailure`` with the report unless hard Lefschetz
-    holds.  The report is computed once per ``GradedPieces`` and kept on it."""
-    report = gp._hl_report
-    if report is None:
-        report = check_hard_lefschetz(gp)
-        object.__setattr__(gp, "_hl_report", report)
+    holds; the report is read from ``hard_lefschetz_report``."""
+    report = hard_lefschetz_report(gp)
     if not report.passed:
         raise VerificationFailure(str(report))
 

@@ -298,6 +298,8 @@ class Subspace:
         self._check_compatible(other)
         if self.is_zero() or other.is_zero():
             return Subspace.zero(self.ambient_dim, self.field)
+        if self.is_full() or other.is_full():
+            return other if self.is_full() else self
         # Solve x·A = y·B: kernel of [Aᵗ | −Bᵗ], keep the x-part times A.
         a, b = self.basis, other.basis
         combined = _hstack(a.transpose(), -b.transpose())
@@ -375,6 +377,8 @@ def image_of(m: Matrix, s: Subspace) -> Subspace:
         raise DimensionMismatch(f"map source {m.cols} vs subspace ambient {s.ambient_dim}")
     if m.field != s.field:
         raise FieldMismatch(f"{m.field} vs {s.field}")
+    if s.is_full():
+        return image(m)
     return Subspace(m.rows, s.basis @ m.transpose(), m.field)
 
 

@@ -8,6 +8,7 @@ a matrix or subspace lives over.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 FIELD_Q = "Q"
@@ -148,13 +149,20 @@ def as_field(value, field):
     return coerced
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse the canonical string form ``"a/b"`` (``"a"`` when b = 1)."""
+    """Parse the canonical string form ``"a/b"`` (``"a"`` when b = 1) that
+    ``format_rational`` writes.  Decimals and exponents are refused, so a
+    short string cannot stand for a huge number, and ``"0.5"`` is not
+    silently read as 1/2."""
+    if not isinstance(text, str) or not _RATIONAL.fullmatch(text):
+        raise ValueError(f"bad rational {text!r}: expected digits or digits/digits")
     try:
-        value = Fraction(text)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad rational {text!r}: {exc}") from None
-    return value
 
 
 def format_rational(value: Fraction) -> str:

@@ -1,12 +1,13 @@
 """The canonical splitting.
 
 ``psi_schedule`` computes the embedded primitive subspace E^{−i,d} by
-the iterated-kernel schedule; ``direct_characterization`` computes the
-same space in one pass from the strong-primitivity conditions
-η^s·E ⊆ W_{≤s−1} for s > i.  Both draw their preimage cuts from the
-instance's cache (``inst.cut``), so comparing them certifies the
-schedule's containments η^{i+t}(S_{t−1}) ⊆ W_{≤i+t} and the agreement
-of the two intersection orders, not an independent computation.  The
+the iterated-kernel schedule and checks its containments
+η^{i+t}(S_{t−1}) ⊆ W_{≤i+t} itself, raising ``ContainmentViolation``;
+``direct_characterization`` computes the same space in one pass from the
+strong-primitivity conditions η^s·E ⊆ W_{≤s−1} for s > i.  Both
+intersect the instance's cached preimage cuts (``inst.cut``), on which
+their results are equal as sets, so comparing them only checks that two
+intersection orders agree; it is not an independent computation.  The
 result is proved by ``assemble``: a direct sum that rebuilds W and
 projects onto the primitives determines E uniquely.  Independent
 evidence comes from the orthogonal path in ``duality``.
@@ -14,7 +15,7 @@ evidence comes from the orthogonal path in ``duality``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .errors import AssemblyFailure, ContainmentViolation, VerificationFailure
 from .instance import PerverseLefschetzInstance
@@ -38,10 +39,6 @@ class SplittingResult:
     schedule: dict          # (i, d) -> tuple of ScheduleStep
     checks: tuple = ()      # (name, ok, detail) from assembly
 
-    def embedded_dim(self, i, d):
-        sub = self.embedded.get((i, d))
-        return sub.dim if sub else 0
-
 
 def slot_list(inst: PerverseLefschetzInstance):
     """All (i ≥ 0, d) with W_{≤−i}V^d ≠ 0."""
@@ -56,8 +53,7 @@ def slot_list(inst: PerverseLefschetzInstance):
     return sorted(slots)
 
 
-def psi_schedule(inst: PerverseLefschetzInstance, i: int, d: int,
-                 *, _skip_hl_check=False):
+def psi_schedule(inst: PerverseLefschetzInstance, i: int, d: int):
     """E^{−i,d} by iterated kernels.
 
     Step 0 cuts W_{≤−i}V^d by η^{i+1}v ∈ W_{≤i+1} (kernel of the
@@ -67,8 +63,7 @@ def psi_schedule(inst: PerverseLefschetzInstance, i: int, d: int,
     """
     if i < 0:
         raise VerificationFailure("slot index i must be ≥ 0")
-    if not _skip_hl_check:
-        require_hard_lefschetz(inst.pieces)
+    require_hard_lefschetz(inst.pieces)
     r = inst.amplitude
     current = inst.filtration.at(d, -i).intersect(inst.cut(d, i + 1, i + 1))
     steps = [ScheduleStep(0, i + 1, i + 2, current.dim)]
@@ -84,11 +79,9 @@ def psi_schedule(inst: PerverseLefschetzInstance, i: int, d: int,
     return current, tuple(steps)
 
 
-def direct_characterization(inst: PerverseLefschetzInstance, i: int, d: int,
-                            *, _skip_hl_check=False) -> Subspace:
+def direct_characterization(inst: PerverseLefschetzInstance, i: int, d: int) -> Subspace:
     """E^{−i,d} as W_{≤−i}V^d ∩ {v : η^s v ∈ W_{≤s−1}V^{d+2s}, i < s ≤ r}."""
-    if not _skip_hl_check:
-        require_hard_lefschetz(inst.pieces)
+    require_hard_lefschetz(inst.pieces)
     current = inst.filtration.at(d, -i)
     for s in range(i + 1, inst.amplitude + 1):
         current = current.intersect(inst.cut(d, s, s - 1))
@@ -164,14 +157,15 @@ def assemble(inst: PerverseLefschetzInstance, embedded: dict,
 
 
 def compute_splitting(inst: PerverseLefschetzInstance) -> SplittingResult:
-    """Full pipeline: the schedule and the direct characterization on every
-    slot, compared (which checks the schedule's containments on shared
-    cuts), then ``assemble``, whose checks prove the result by uniqueness."""
-    require_hard_lefschetz(inst.pieces)
+    """Full pipeline: the schedule (which checks its own containments) and
+    the direct characterization on every slot, compared (on shared cuts
+    this only checks that two intersection orders agree), then
+    ``assemble``, whose checks prove the result by uniqueness."""
+    require_hard_lefschetz(inst.pieces)   # validates the filtration before slot_list reads it
     embedded, schedule = {}, {}
     for (i, d) in slot_list(inst):
-        via_psi, steps = psi_schedule(inst, i, d, _skip_hl_check=True)
-        via_direct = direct_characterization(inst, i, d, _skip_hl_check=True)
+        via_psi, steps = psi_schedule(inst, i, d)
+        via_direct = direct_characterization(inst, i, d)
         if via_psi != via_direct:
             raise VerificationFailure(
                 f"schedule and direct characterizations disagree at (i={i}, d={d}): "

@@ -108,9 +108,8 @@ def test_criterion_5_three_path_equality():
         for seed in range(SUITE_SEEDS):
             inst = random_instance(seed, profile).instance
             for (i, d) in slot_list(inst):
-                via_psi, _ = psi_schedule(inst, i, d, _skip_hl_check=True)
-                via_direct = direct_characterization(inst, i, d,
-                                                     _skip_hl_check=True)
+                via_psi, _ = psi_schedule(inst, i, d)
+                via_direct = direct_characterization(inst, i, d)
                 if via_psi != via_direct:
                     mismatches += 1
                 if inst.pairing is not None:

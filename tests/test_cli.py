@@ -59,6 +59,20 @@ def test_check_hl_failure_exits_one(capsys, tmp_path):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize("command", ["split", "verify"])
+def test_empty_filtration_step_is_a_verification_failure(capsys, tmp_path, command):
+    # a degree of positive dimension whose only step is zero
+    doc = serialize_instance(quadric_cone(1).instance)
+    doc["filtration"] = [dict(step, basis=[]) if step["d"] == 0 else step
+                         for step in doc["filtration"]]
+    path = tmp_path / "empty_step.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, str(path))
+    assert code == 1 and not out
+    assert err.strip() == ("verification failure: degree 0: filtration is not "
+                           "exhaustive (top step has dim 0 < 1)")
+
+
 def test_verify_failing_pairing_flag_exits_one(capsys, tmp_path):
     inst = quadric_cone(1).instance
     blocks = dict(inst.pairing.blocks)
@@ -261,3 +275,50 @@ def test_engine_defect_exit_code_through_main(capsys, quadric_file, monkeypatch)
     monkeypatch.setattr(cli, "compute_splitting", defective)
     code, _, err = run(capsys, "split", quadric_file)
     assert code == 3 and "engine defect" in err
+
+
+# --- bounded input ------------------------------------------------------------
+
+@pytest.mark.parametrize("text", ["0.5", "1e5", "1e40000000"])
+def test_decimal_and_exponent_strings_are_input_errors(capsys, tmp_path, text):
+    doc = serialize_instance(quadric_cone(1).instance)
+    doc["eta"][0]["matrix"][0][0] = text
+    instance = tmp_path / "instance.json"
+    instance.write_text(json.dumps(doc))
+    operator = tmp_path / "ops.json"
+    operator.write_text(json.dumps({"N": [["0", text], ["0", "0"]]}))
+    for argv in (("validate", str(instance)),
+                 ("weight-filtration", str(operator), "--operator", "N"),
+                 ("corpus", "quadric-cone", "--m", text)):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and err.startswith("input error:") and text in err and not out
+
+
+@pytest.mark.parametrize("record, message", [
+    ({"max_strings": "a"}, "'max_strings' must be an integer"),
+    ({"max_strings": 0}, "'max_strings' must be ≥ 1"),
+    ({"max_mult": -1}, "'max_mult' must be ≥ 1"),
+    ({"max_string_length": -1}, "'max_string_length' must be ≥ 0"),
+    ({"degree_span": -2}, "'degree_span' must be ≥ 0"),
+    ({"twist_bound": 1.5}, "'twist_bound' must be an integer"),
+    ({"twist_bound": -1}, "'twist_bound' must be ≥ 0"),
+    ({"max_mult": True}, "'max_mult' must be an integer"),
+    ({"with_hodge": 1}, "'with_hodge' must be true or false"),
+    ({"with_pairing": "yes"}, "'with_pairing' must be true or false"),
+])
+def test_bad_profile_fields_are_input_errors(capsys, tmp_path, record, message):
+    prof = tmp_path / "profile.json"
+    prof.write_text(json.dumps(record))
+    for argv in (("corpus", "random", "--seed", "1", "--profile", str(prof)),
+                 ("suite", "--seeds", "1", "--profile", str(prof))):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and err.startswith("input error:") and message in err and not out
+
+
+def test_profile_bounds_are_inclusive(capsys, tmp_path):
+    prof = tmp_path / "profile.json"
+    prof.write_text(json.dumps({"max_strings": 1, "max_mult": 1, "max_string_length": 0,
+                                "degree_span": 0, "twist_bound": 0,
+                                "with_hodge": False, "with_pairing": True}))
+    code, _, _ = run(capsys, "suite", "--seeds", "2", "--profile", str(prof))
+    assert code == 0

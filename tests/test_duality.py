@@ -2,8 +2,8 @@ import pytest
 
 from persplit.corpus import (GeneratorProfile, canonical_lifts, quadric_cone,
                              random_instance)
-from persplit.duality import (IntersectionPairing, _orthogonal_cut,
-                              duality_hs_check, induced_pairing_on_summand,
+from persplit.duality import (IntersectionPairing, duality_hs_check,
+                              induced_pairing_on_summand,
                               orthogonal_characterization, orthogonal_mismatch,
                               projector)
 from persplit.errors import (CompatibilityFailure, InputError,
@@ -134,12 +134,12 @@ def test_orthogonal_cuts_are_per_pairing():
     other = IntersectionPairing(3, inst.space, blocks)
     cuts = [(d, s) for d in inst.space.degrees for s in range(1, inst.amplitude + 1)
             if inst.space.dim(d) and inst.space.dim(2 * q.center - d - 2 * s)]
-    fresh = {id(p): {c: _orthogonal_cut(quadric(1)[0], p, *c) for c in cuts}
+    fresh = {id(p): {c: quadric(1)[0].orthogonal_cut(p, *c) for c in cuts}
              for p in (q, other)}
     assert fresh[id(q)] != fresh[id(other)]
     for pairing in (q, other, q):
         for c in cuts:
-            assert _orthogonal_cut(inst, pairing, *c) == fresh[id(pairing)][c]
+            assert inst.orthogonal_cut(pairing, *c) == fresh[id(pairing)][c]
 
 
 def test_compatibility_verdict_is_per_pairing():

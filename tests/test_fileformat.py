@@ -129,3 +129,55 @@ def test_make_report_structure():
                                    "detail": "no flag"}
     failing = make_report("verify", inst, [("hl", "fail", "witness")])
     assert failing["passed"] is False
+
+
+def _grouped_doc():
+    inst = quadric_cone(1).instance
+    swap = Matrix.from_rows([[1, 0, 0], [0, 0, 1], [0, 1, 0]], 3)
+    from persplit.instance import PerverseLefschetzInstance
+    dressed = PerverseLefschetzInstance(
+        center=inst.center, space=inst.space, filtration=inst.filtration,
+        eta=inst.eta, pairing=inst.pairing,
+        groups={"swap": (GradedMap(0, {2: swap, 4: swap}, inst.space),)})
+    return serialize_instance(dressed)
+
+
+def _blocks_at(doc, where):
+    if where == "eta":
+        return doc["eta"]
+    if where == "pairing":
+        return doc["pairing"]["blocks"]
+    return doc["groups"][0]["generators"][0]
+
+
+@pytest.mark.parametrize("where, mutate, message", [
+    ("eta", "duplicate", "/eta/3: duplicate operator block at degree 0"),
+    ("eta", "unknown", "/eta/1/d: operator block in unknown degree 9"),
+    ("eta", "shape", "/eta/1/matrix: expected 3 rows"),
+    ("eta", "no matrix", "/eta/1: missing field 'matrix'"),
+    ("pairing", "duplicate", "/pairing/blocks/4: duplicate pairing block at degree 0"),
+    ("pairing", "unknown", "/pairing/blocks/1/d: pairing block in unknown degree 9"),
+    ("pairing", "shape", "/pairing/blocks/1/matrix: expected 3 rows"),
+    ("pairing", "no matrix", "/pairing/blocks/1: missing field 'matrix'"),
+    ("generator", "duplicate",
+     "/groups/0/generators/0/2: duplicate generator block at degree 2"),
+    ("generator", "unknown", "/groups/0/generators/0/1/d: generator block in unknown degree 9"),
+    ("generator", "shape", "/groups/0/generators/0/1/matrix: expected 3 rows"),
+    ("generator", "no matrix", "/groups/0/generators/0/1: missing field 'matrix'"),
+])
+def test_block_lists_share_one_parser(where, mutate, message):
+    # the eta, pairing and generator block lists give the same checks with
+    # the same messages; a generator listing a degree twice is refused too
+    doc = _grouped_doc()
+    blocks = _blocks_at(doc, where)
+    if mutate == "duplicate":
+        blocks.append(dict(blocks[0]))
+    elif mutate == "unknown":
+        blocks[1]["d"] = 9
+    elif mutate == "shape":
+        blocks[1]["matrix"] = [["1"]]
+    else:
+        del blocks[1]["matrix"]
+    with pytest.raises(ParseError) as exc:
+        parse_instance(doc)
+    assert str(exc.value) == message

@@ -60,6 +60,15 @@ def test_rational_string_round_trip():
         parse_rational("one")
 
 
+@pytest.mark.parametrize("text", ["0.5", "1e5", "1e40000000", "1/2e3", "+3", " 3", "3/-4",
+                                  "1_000", "½", "٣", 3, 0.5, None])
+def test_parse_rational_accepts_only_the_canonical_form(text):
+    # decimals and exponents are refused before any number is built, so a
+    # short string cannot stand for a huge integer
+    with pytest.raises(ValueError, match="bad rational"):
+        parse_rational(text)
+
+
 def test_scalar_serialization_both_fields():
     assert parse_scalar("2/3", FIELD_Q) == Fraction(2, 3)
     assert format_scalar(Fraction(2, 3)) == "2/3"

@@ -99,8 +99,8 @@ def test_two_path_agreement_on_seeds():
     for seed in range(40):
         inst = random_instance(seed).instance
         for (i, d) in slot_list(inst):
-            via_psi, _ = psi_schedule(inst, i, d, _skip_hl_check=True)
-            via_direct = direct_characterization(inst, i, d, _skip_hl_check=True)
+            via_psi, _ = psi_schedule(inst, i, d)
+            via_direct = direct_characterization(inst, i, d)
             assert via_psi == via_direct
 
 
