@@ -2,6 +2,8 @@
 
 Subspaces are stored by their reduced row-echelon basis, which is the
 canonical form: two subspaces are equal iff their bases are identical.
+Containment is one product on that basis: each basis row is 1 at its own
+pivot and 0 at the others, so B ⊆ A exactly when B[:, pivots(A)] · A = B.
 All operations are pure; values are immutable after construction.
 """
 
@@ -280,15 +282,23 @@ class Subspace:
         return self.dim == self.ambient_dim
 
     def contains_vector(self, vector):
-        vec = [as_field(x, self.field) for x in vector]
+        vec = tuple(as_field(x, self.field) for x in vector)
         if len(vec) != self.ambient_dim:
             raise DimensionMismatch("vector/ambient mismatch")
-        reduced = reduce_against(self.basis, vec)
-        return not any(reduced)
+        return _spans(self.basis, _leads(self.basis.data), (vec,))
 
     def contains(self, other: "Subspace") -> bool:
         self._check_compatible(other)
-        return all(self.contains_vector(row) for row in other.basis.data)
+        rows = other.basis.data
+        if not rows or self.is_full():
+            return True
+        if len(rows) > self.dim:
+            return False
+        leads = _leads(self.basis.data)
+        # a vector of the span leads at one of the basis's pivots
+        if not set(_leads(rows)) <= set(leads):
+            return False
+        return _spans(self.basis, leads, rows)
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
@@ -336,16 +346,20 @@ def _hstack(a: Matrix, b: Matrix) -> Matrix:
                   tuple(ra + rb for ra, rb in zip(a.data, b.data)), a.field, _raw=True)
 
 
-def reduce_against(basis: Matrix, vector):
-    """Reduce a coordinate vector modulo an RREF basis; zero iff contained."""
-    vec = list(vector)
-    for row in basis.data:
-        pivot = next(j for j, x in enumerate(row) if x)
-        if vec[pivot]:
-            c = vec[pivot]
-            for j in range(pivot, len(vec)):
-                vec[j] = vec[j] - c * row[j]
-    return vec
+def _leads(rows):
+    """Column of the first nonzero entry of each (nonzero) row."""
+    return [next(j for j, x in enumerate(row) if x) for row in rows]
+
+
+def _spans(basis: Matrix, leads, rows) -> bool:
+    """True iff every row lies in the row span of the RREF ``basis``.
+
+    Each basis row is 1 at its own pivot and 0 at the others, so v is in
+    the span exactly when v = Σ_k v[p_k]·basis_k: one product decides all
+    rows at once."""
+    coeffs = tuple(tuple(row[p] for p in leads) for row in rows)
+    return (Matrix(len(rows), len(leads), coeffs, basis.field, _raw=True) @ basis).data \
+        == tuple(rows)
 
 
 def kernel(m: Matrix) -> Subspace:
@@ -437,7 +451,7 @@ def quotient_map(a: Subspace, b: Subspace) -> QuotientMap:
     # Extend b's basis greedily by rows of a, then by unit vectors, to a
     # full basis.  Each candidate is reduced against one running echelon
     # of everything accepted so far; it is accepted iff a remainder is left.
-    echelon = [(next(j for j, x in enumerate(row) if x), row) for row in b.basis.data]
+    echelon = list(zip(_leads(b.basis.data), b.basis.data))
 
     def independent(vec):
         vec = list(vec)

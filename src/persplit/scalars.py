@@ -26,8 +26,8 @@ class Gaussian:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
+        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("Gaussian is immutable")
@@ -142,31 +142,40 @@ def as_field(value, field):
             if value.im:
                 raise ValueError(f"cannot place {value} in Q")
             return value.re
-        return Fraction(value)
+        return value if type(value) is Fraction else Fraction(value)
     coerced = _coerce(value)
     if coerced is NotImplemented:
         raise ValueError(f"cannot place {value!r} in Q(i)")
     return coerced
 
 
-_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+MAX_DIGITS = 4300   # per numerator or denominator (Python's default int-string limit)
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse the canonical string form ``"a/b"`` (``"a"`` when b = 1) that
     ``format_rational`` writes.  Decimals and exponents are refused, so a
     short string cannot stand for a huge number, and ``"0.5"`` is not
-    silently read as 1/2."""
-    if not isinstance(text, str) or not _RATIONAL.fullmatch(text):
+    silently read as 1/2; a numerator or denominator of more than
+    ``MAX_DIGITS`` digits is refused before any integer is built."""
+    match = _RATIONAL.fullmatch(text) if isinstance(text, str) else None
+    if not match:
         raise ValueError(f"bad rational {text!r}: expected digits or digits/digits")
+    num, den = match.groups()
+    longest = max(len(num.lstrip("-")), len(den or ""))
+    if longest > MAX_DIGITS:
+        raise ValueError(f"bad rational: {longest} digits exceed the limit of "
+                         f"{MAX_DIGITS} per numerator or denominator")
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+        return Fraction(int(num), int(den) if den else 1)
+    except ZeroDivisionError as exc:
         raise ValueError(f"bad rational {text!r}: {exc}") from None
 
 
 def format_rational(value: Fraction) -> str:
-    return str(Fraction(value))
+    return str(value if type(value) is Fraction else Fraction(value))
 
 
 def parse_scalar(obj, field):

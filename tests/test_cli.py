@@ -294,6 +294,27 @@ def test_decimal_and_exponent_strings_are_input_errors(capsys, tmp_path, text):
         assert code == 2 and err.startswith("input error:") and text in err and not out
 
 
+@pytest.mark.parametrize("digits", [4300, 4301])
+def test_entries_longer_than_the_digit_limit_are_refused_briefly(capsys, tmp_path, digits):
+    accepted, big = "7" * 4300, "7" * digits
+    instance = tmp_path / "instance.json"
+    assert run(capsys, "corpus", "quadric-cone", "--m", accepted, "--output", str(instance))[0] == 0
+    instance.write_text(instance.read_text().replace(accepted, big))
+    argvs = [("validate", str(instance))]
+    for k, entry in enumerate((big, "1/" + big)):     # numerator, then denominator
+        operator = tmp_path / f"ops{k}.json"
+        operator.write_text(json.dumps({"N": [["0", entry], ["0", "0"]]}))
+        argvs += [("weight-filtration", str(operator), "--operator", "N"),
+                  ("corpus", "quadric-cone", "--m", entry)]
+    for argv in argvs:
+        code, out, err = run(capsys, *argv)
+        if digits == 4300:
+            assert code == 0 and out and not err
+        else:
+            assert code == 2 and not out and err.startswith("input error:")
+            assert len(err.encode()) < 200 and "4301 digits" in err
+
+
 @pytest.mark.parametrize("record, message", [
     ({"max_strings": "a"}, "'max_strings' must be an integer"),
     ({"max_strings": 0}, "'max_strings' must be ≥ 1"),

@@ -88,6 +88,23 @@ def test_broken_quadric_filtration_yields_witness():
     assert (d, i) == (4, 0) and any(vec)
 
 
+def test_strict_compatibility_witness_in_a_non_coordinate_basis():
+    # W_{≤0}V^0 has RREF rows (1, 0, −2), (0, 1, 2); W_{≤2}V^2 holds η of
+    # the first row but not of the second, which is the witness.
+    space = GradedSpace({0: 3, 2: 3})
+    eta = GradedMap(2, {0: frac_matrix([[1, 2, 0], [0, 1, 1], [1, 0, 1]])}, space)
+    filtr = Filtration(space, {(0, 0): Subspace.span([[1, 1, 0], [0, 1, 2]], 3),
+                               (0, 1): Subspace.full(3),
+                               (2, 2): Subspace.span([[1, -2, -1], [1, 1, 1]], 3),
+                               (2, 3): Subspace.full(3)})
+    ok, witness = check_strict_compatibility(filtr, eta)
+    assert not ok and witness == (0, 0, (Rat(0), Rat(1), Rat(2)))
+    with pytest.raises(VerificationFailure) as exc:
+        graded_pieces(space, filtr, eta)
+    assert str(exc.value) == ("operator not compatible with filtration at (d=0, i=0); "
+                              "witness (Fraction(0, 1), Fraction(1, 1), Fraction(2, 1))")
+
+
 # --- graded pieces ---------------------------------------------------------
 
 def test_quadric_cone_graded_dimensions():

@@ -92,6 +92,58 @@ def test_containment_and_membership():
     assert not a.contains_vector([0, 0, 1])
 
 
+@st.composite
+def containment_cases(draw):
+    """(a, b, v) in field^n, n ∈ 0..5: b is spanned by combinations of a's
+    basis, sometimes with extra random rows, so that both verdicts are
+    common; v is a row of b, a random vector or zero."""
+    field = draw(st.sampled_from((FIELD_Q, FIELD_QI)))
+    n = draw(st.integers(0, 5))
+
+    def entry():
+        if field == FIELD_Q:
+            return Rat(draw(st.one_of(SMALL, SMALL, BIG_Q)))
+        return Gaussian(draw(SMALL), draw(SMALL))
+
+    def vector():
+        return tuple(entry() for _ in range(n))
+
+    gens = [vector() for _ in range(draw(st.integers(0, 5)))]
+    a = Subspace(n, Matrix(len(gens), n, tuple(gens), field), field)
+    zero = field_zero(field)
+    combos = [tuple(entry() for _ in range(a.dim)) for _ in range(draw(st.integers(0, 4)))]
+    b_rows = [tuple(sum((c * row[j] for c, row in zip(combo, a.basis.data)), zero)
+                    for j in range(n)) for combo in combos]
+    b_rows += [vector() for _ in range(draw(st.integers(0, 2)))]
+    b = Subspace(n, Matrix(len(b_rows), n, tuple(b_rows), field), field)
+    v = draw(st.sampled_from(b.basis.data + (vector(), (zero,) * n)))
+    return a, b, v
+
+
+def _q(rows, n=3):
+    return Subspace.span(rows, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(containment_cases())
+@example((_q([[1, 0, 1], [0, 1, 0]]), Subspace.zero(3), (0, 0, 0)))              # b = 0
+@example((Subspace.full(3), _q([[1, 2, 3]]), (5, Rat(1, 7), 0)))                   # a full
+@example((_q([[1, 2, 0]]), _q([[1, 2, 0]]), (2, 4, 0)))                            # a == b
+@example((_q([[1, 0, 1]]), _q([[1, 0, 1], [0, 1, 1]]), (0, 1, 1)))                 # dim b > dim a
+@example((_q([[1, 0, 0], [0, 1, 1]]), _q([[0, 1, 0]]), (0, 1, 0)))                 # leads ⊆, b ⊄ a
+@example((_q([[1, 0, 1]]), _q([[1, 0, 2]]), (1, 0, 2)))                            # leads ⊆, b ⊄ a
+@example((_q([[1, 0, 0], [0, 1, 1]]), _q([[1, 0, 0], [0, 1, 0]]), (0, 1, 0)))      # only row 0 in a
+@example((Subspace.zero(0), Subspace.zero(0), ()))
+def test_containment_matches_sum_dimension(case):
+    a, b, v = case
+    snapshot = (a.basis.data, b.basis.data, list(v))
+    assert a.contains(b) == (a.sum(b).dim == a.dim)
+    vec = list(v)
+    line = Subspace(a.ambient_dim, Matrix(1, a.ambient_dim, (tuple(v),), a.field), a.field)
+    assert a.contains_vector(vec) == a.contains(line) == (a.sum(line).dim == a.dim)
+    assert (a.basis.data, b.basis.data, vec) == snapshot, "containment mutated an operand"
+
+
 def test_dimension_and_field_mismatches_raise():
     a = Subspace.full(2)
     b = Subspace.full(3)

@@ -2,13 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from persplit import lefschetz
+from persplit import cli, fileformat, lefschetz
 from persplit.corpus import canonical_lifts, quadric_cone, random_instance
 from persplit.errors import AssemblyFailure, ContainmentViolation, VerificationFailure
+from persplit.fileformat import save
 from persplit.graded import GradedMap
 from persplit.instance import PerverseLefschetzInstance
 from persplit.lefschetz import (StringSpec, apply_graded_auto, build_split_model,
-                                check_hard_lefschetz)
+                                check_hard_lefschetz, twist_model)
 from persplit.linalg import Subspace, image_of
 from persplit.splitting import (assemble, compute_splitting,
                                 direct_characterization, eta_commutation_check,
@@ -155,6 +156,46 @@ def test_assemble_rejects_wrong_dimension():
     bad[(0, 2)] = Subspace.span([[0, 1, 0]], 3)  # too small to rebuild W
     with pytest.raises(AssemblyFailure):
         assemble(inst, bad)
+
+
+# Step t = 2 of slot (0, 4) of the twisted model below checks the rows e3,
+# e4 against the cut {v : η²v ∈ W_{≤2}V^4} = {v_0 = 0}.  This smaller
+# subspace has the same lead columns as those rows, holds e3 and not e4.
+SHRUNK_CUT = Subspace.span([[0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 1]], 6)
+SCHEDULE_WITNESS = tuple(Fraction(int(j == 4)) for j in range(6))
+
+
+def shrink_schedule_cut(inst):
+    inst._memo[("cut", 4, 2, 2)] = SHRUNK_CUT
+    return inst
+
+
+def twisted_model():
+    inst, _ = build_split_model(StringSpec(((4, 0, 1), (2, 2, 2), (0, 4, 2), (2, 0, 1))))
+    return twist_model(inst, 3, 2)[0]
+
+
+def test_schedule_witness_is_the_first_row_outside_the_cut():
+    inst = twisted_model()
+    cut = inst.cut(4, 2, 2)
+    assert cut.sum(SHRUNK_CUT) == cut != SHRUNK_CUT
+    shrink_schedule_cut(inst)
+    with pytest.raises(ContainmentViolation) as exc:
+        psi_schedule(inst, 0, 4)
+    assert (exc.value.i, exc.value.d, exc.value.t) == (0, 4, 2)
+    assert exc.value.witness == SCHEDULE_WITNESS
+
+
+def test_split_reports_the_schedule_witness(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "twisted.json"
+    save(twisted_model(), path)
+    load = fileformat.load
+    monkeypatch.setattr(fileformat, "load", lambda p: shrink_schedule_cut(load(p)))
+    code = cli.main(["split", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and not captured.out
+    assert captured.err == ("verification failure: containment violated at slot (i=0, d=4), "
+                            f"step t=2; witness {SCHEDULE_WITNESS}\n")
 
 
 def test_containment_violation_carries_slot_data():
