@@ -251,7 +251,7 @@ def _suite_one(seed, profile):
     ri = random_instance(seed, profile)
     inst = ri.instance
     # The schedule checks its own containments, the schedule/direct
-    # comparison checks that two intersection orders agree, and assembly
+    # comparison checks that two cut orders agree, and assembly
     # proves the result by uniqueness (all three raise on failure).
     result = compute_splitting(inst)
     verdicts["two-path agreement and assembly"] = True

@@ -135,21 +135,17 @@ def orthogonal_characterization(inst: PerverseLefschetzInstance,
                                 pairing: IntersectionPairing,
                                 i: int, d: int) -> Subspace:
     """E^{−i,d} via the pairing:
-    W_{≤−i}V^d ∩ ⋂_{s>i} (η^s(W_{≤−s}V^{2n−d−2s}))^⊥.
+    W_{≤−i}V^d ∩ ⋂_{s>i} (η^s(W_{≤−s}V^{2n−d−2s}))^⊥, one cut by the
+    stacked rows of every orthogonality condition.
 
-    Uses neither the preimage cuts nor the graded pieces, so agreement
-    with the schedule is independent evidence.  Requires both
+    Uses neither the schedule's cut rows nor the graded pieces, so
+    agreement with the schedule is independent evidence.  Requires both
     compatibility flags (η-self-adjointness and filtration self-duality)."""
     failed = inst.failed_compatibility(pairing)
     if failed is not None:
         raise CompatibilityFailure(failed)
-    n2 = 2 * pairing.center
-    current = inst.filtration.at(d, -i)
-    for s in range(i + 1, inst.amplitude + 1):
-        if inst.space.dim(n2 - d - 2 * s) == 0:
-            continue
-        current = current.intersect(inst.orthogonal_cut(pairing, d, s))
-    return current
+    return inst.cut_by(inst.filtration.at(d, -i), [
+        inst.orthogonal_rows(pairing, d, s) for s in range(i + 1, inst.amplitude + 1)])
 
 
 def orthogonal_mismatch(inst: PerverseLefschetzInstance, pairing: IntersectionPairing,

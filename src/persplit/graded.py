@@ -10,8 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError, VerificationFailure
-from .linalg import Matrix, QuotientMap, Subspace, image_of, preimage, quotient_map
+from .linalg import Matrix, QuotientMap, Subspace, image_of, quotient_map
 from .scalars import FIELD_Q
+
+
+_MISSING = object()
 
 
 def memoized(memo: dict, key, compute):
@@ -19,10 +22,12 @@ def memoized(memo: dict, key, compute):
     object that derives values from itself owns one such dict, its
     ``_memo``, keyed by the accessor's name and arguments; a derived value
     stays valid for as long as its owner lives.  (``lefschetz`` keeps its
-    hard Lefschetz reports in a dict keyed weakly by the pieces.)"""
-    if key not in memo:
-        memo[key] = compute()
-    return memo[key]
+    hard Lefschetz reports in a dict keyed weakly by the pieces.)  A hit
+    hashes the key once."""
+    value = memo.get(key, _MISSING)
+    if value is _MISSING:
+        value = memo[key] = compute()
+    return value
 
 
 class GradedSpace:
@@ -337,8 +342,9 @@ def weight_filtration(n_mat: Matrix, center: int = 0) -> dict:
     It is computed by Deligne's recursion (Weil II, §1.6): W_{l−1} =
     Ker N^l and W_{−l} = Im N^l, then the same on Ker N^l / Im N^l with
     the induced operator.  The subquotient is carried as a pair A ⊇ B of
-    N-stable subspaces, so each level costs one preimage and one image
-    of N^l, read from one ladder of powers.  The kernel/image
+    N-stable subspaces, so each level costs one cut of A by the rows
+    ann(B)·N^l (the preimage of B under N^l, met with A in one kernel)
+    and one image of N^l, read from one ladder of powers.  The kernel/image
     convolution Σ_k Ker N^{j+k+1} ∩ Im N^k gives the same filtration and
     survives only as the test oracle.
     """
@@ -352,5 +358,5 @@ def weight_filtration(n_mat: Matrix, center: int = 0) -> dict:
         steps[center - level - 1] = b
         if level:
             power = ladder[level]
-            a, b = a.intersect(preimage(power, b)), b.sum(image_of(power, a))
+            a, b = a.cut_by(b.annihilator().basis @ power), b.sum(image_of(power, a))
     return steps

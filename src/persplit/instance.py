@@ -5,12 +5,12 @@ bigrading and intersection pairing."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 from .errors import InputError
 from .graded import (Filtration, GradedMap, GradedSpace, graded_pieces, memoized,
                      validate_filtration)
-from .linalg import Subspace, image_of, preimage
+from .linalg import Matrix, Subspace, image_of, kernel, rref
 
 
 @dataclass(frozen=True)
@@ -42,20 +42,51 @@ class PerverseLefschetzInstance:
     def pieces(self):
         return graded_pieces(self.space, self.filtration, self.eta)
 
-    def cut(self, d, s, level) -> Subspace:
-        """{v ∈ V^d : η^s v ∈ W_{≤level}V^{d+2s}}, the preimage cut shared
-        by the schedule, the direct characterization and their checks."""
-        return memoized(self._memo, ("cut", d, s, level), lambda: preimage(
-            self.eta.power_block(d, s), self.filtration.at(d + 2 * s, level)))
+    def cut_rows(self, d, s, level) -> Matrix:
+        """Rows R with {v ∈ V^d : η^s v ∈ W_{≤level}V^{d+2s}} = {v : R·v = 0}:
+        the RREF of ann(W_{≤level}V^{d+2s})·η^s, with no rows when that step
+        is full and the rows of η^s when it is 0.  The schedule, the direct
+        characterization and their checks cut by these rows."""
+        def compute():
+            target = self.filtration.at(d + 2 * s, level)
+            if target.is_full():
+                return Matrix.zero(0, self.space.dim(d))
+            power = self.eta.power_block(d, s)
+            return rref(power if target.is_zero() else target.annihilator().basis @ power)
+        return memoized(self._memo, ("cut_rows", d, s, level), compute)
 
-    def orthogonal_cut(self, pairing, d, s) -> Subspace:
-        """(η^s(W_{≤−s}V^{2n−d−2s}))^⊥ ⊆ V^d under ``pairing`` (a
-        ``duality.IntersectionPairing`` with center n)."""
+    def orthogonal_rows(self, pairing, d, s) -> Matrix:
+        """Rows R with (η^s(W_{≤−s}V^{2n−d−2s}))^⊥ = {v ∈ V^d : R·v = 0}
+        under ``pairing`` (a ``duality.IntersectionPairing`` with center
+        n): the RREF of the pushed basis times the block Qᵀ, with no rows
+        when the pushed space is 0."""
         def compute():
             src_d = 2 * pairing.center - d - 2 * s
             pushed = image_of(self.eta.power_block(src_d, s), self.filtration.at(src_d, -s))
-            return pairing.perp(pushed, d)
-        return memoized(self._memo, ("orthogonal_cut", pairing, d, s), compute)
+            if pushed.is_zero():
+                return Matrix.zero(0, self.space.dim(d))
+            return rref(pushed.basis @ pairing.block(d).transpose())
+        return memoized(self._memo, ("orthogonal_rows", pairing, d, s), compute)
+
+    def cut_by(self, sub, blocks) -> Subspace:
+        """{v ∈ sub : R·v = 0 for every row block R}, one cut by the stacked
+        blocks.  On all of V^d the cut is the kernel of the rows, formed
+        once per distinct rows on this instance."""
+        blocks = [rows for rows in blocks if rows.rows]
+        if not blocks:
+            return sub
+        rows = reduce(Matrix.stack, blocks)
+        if sub.is_full():
+            return memoized(self._memo, ("kernel", rows), lambda: kernel(rows))
+        return sub.cut_by(rows)
+
+    def eta_image(self, d, j, sub) -> Subspace:
+        """η^j(sub) for sub ⊆ V^d, formed once per (d, j, sub); assembly
+        and the commutation check share these images."""
+        if j == 0:
+            return sub
+        return memoized(self._memo, ("eta_image", d, j, sub),
+                        lambda: image_of(self.eta.power_block(d, j), sub))
 
     def failed_compatibility(self, pairing) -> str | None:
         """The first compatibility flag of ``pairing`` with this instance

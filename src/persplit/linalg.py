@@ -20,7 +20,7 @@ from .scalars import FIELD_Q, FIELD_QI, Q_ZERO, Gaussian, as_field, field_one, f
 class Matrix:
     """Immutable dense matrix; rows of exact field elements."""
 
-    __slots__ = ("rows", "cols", "data", "field")
+    __slots__ = ("rows", "cols", "data", "field", "_hash")
 
     def __init__(self, rows, cols, data, field=FIELD_Q, *, _raw=False):
         if _raw:
@@ -65,7 +65,13 @@ class Matrix:
                (other.rows, other.cols, other.field, other.data)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.field, self.data))
+        # formed once: a matrix keys memos, and hashing every Fraction is slow
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash((self.rows, self.cols, self.field, self.data))
+            object.__setattr__(self, "_hash", value)
+            return value
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols} over {self.field})"
@@ -270,7 +276,7 @@ class Subspace:
                (other.ambient_dim, other.field, other.basis.data)
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.field, self.basis.data))
+        return hash((self.ambient_dim, self.field, self.basis))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient_dim} over {self.field})"
@@ -310,13 +316,36 @@ class Subspace:
             return Subspace.zero(self.ambient_dim, self.field)
         if self.is_full() or other.is_full():
             return other if self.is_full() else self
-        # Solve x·A = y·B: kernel of [Aᵗ | −Bᵗ], keep the x-part times A.
+        # x·A = y·B exactly when (x, −y) is in the kernel of [Aᵗ | Bᵗ], so
+        # the x-parts of that kernel, times A, span the intersection.
         a, b = self.basis, other.basis
-        combined = _hstack(a.transpose(), -b.transpose())
+        combined = _hstack(a.transpose(), b.transpose())
         ker = kernel(combined)
         rows = [ker_row[: a.rows] for ker_row in ker.basis.data]
         coeff = Matrix(len(rows), a.rows, tuple(rows), self.field, _raw=True)
         return Subspace(self.ambient_dim, coeff @ a, self.field)
+
+    def cut_by(self, rows: Matrix) -> "Subspace":
+        """{v ∈ S : rows·v = 0}.  With v = x·S, the condition is
+        rows·Sᵀ·xᵀ = 0, so the cut is X·S for X the kernel of rows·Sᵀ."""
+        if rows.cols != self.ambient_dim:
+            raise DimensionMismatch(f"rows of width {rows.cols} vs ambient {self.ambient_dim}")
+        if rows.field != self.field:
+            raise FieldMismatch(f"{rows.field} vs {self.field}")
+        if self.is_zero() or not rows.rows:
+            return self
+        if self.is_full():
+            return kernel(rows)
+        product = rows @ self.basis.transpose()
+        if product.is_zero():
+            return self
+        coeffs = kernel(product)
+        if coeffs.is_zero():
+            return Subspace.zero(self.ambient_dim, self.field)
+        # X·S is already reduced: on S's pivot columns it reads X, which is
+        # an RREF, and each row of X·S leads at the pivot of its first term.
+        return Subspace(self.ambient_dim, coeffs.basis @ self.basis, self.field,
+                        _canonical=True)
 
     def annihilator(self) -> "Subspace":
         """Functionals vanishing on this subspace: {f : B·f = 0}."""

@@ -4,10 +4,12 @@
 the iterated-kernel schedule and checks its containments
 η^{i+t}(S_{t−1}) ⊆ W_{≤i+t} itself, raising ``ContainmentViolation``;
 ``direct_characterization`` computes the same space in one pass from the
-strong-primitivity conditions η^s·E ⊆ W_{≤s−1} for s > i.  Both
-intersect the instance's cached preimage cuts (``inst.cut``), on which
-their results are equal as sets, so comparing them only checks that two
-intersection orders agree; it is not an independent computation.  The
+strong-primitivity conditions η^s·E ⊆ W_{≤s−1} for s > i.  Both cut
+W_{≤−i}V^d by the instance's cached constraint rows (``inst.cut_rows``),
+each cut one kernel on the current basis: the schedule by one row block
+per step, the direct characterization by all blocks stacked.  On shared
+rows their results are equal as sets, so comparing them only checks that
+the two cut orders agree; it is not an independent computation.  The
 result is proved by ``assemble``: a direct sum that rebuilds W and
 projects onto the primitives determines E uniquely.  Independent
 evidence comes from the orthogonal path in ``duality``.
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from .errors import AssemblyFailure, ContainmentViolation, VerificationFailure
 from .instance import PerverseLefschetzInstance
 from .lefschetz import primitives, require_hard_lefschetz
-from .linalg import Subspace, image_of
+from .linalg import Subspace
 from .scalars import FIELD_Q
 
 
@@ -58,34 +60,36 @@ def psi_schedule(inst: PerverseLefschetzInstance, i: int, d: int):
 
     Step 0 cuts W_{≤−i}V^d by η^{i+1}v ∈ W_{≤i+1} (kernel of the
     projection of η^{i+1} to Gr_{i+2}); step t ≥ 1 first asserts
-    η^{i+t}(S_{t−1}) ⊆ W_{≤i+t} and then cuts by η^{i+t}v ∈ W_{≤i+t−1}.
+    η^{i+t}(S_{t−1}) ⊆ W_{≤i+t}, by one product of that condition's rows
+    with the basis of S_{t−1}, and then cuts by η^{i+t}v ∈ W_{≤i+t−1}.
     Returns ``(subspace, schedule_steps)``.
     """
     if i < 0:
         raise VerificationFailure("slot index i must be ≥ 0")
     require_hard_lefschetz(inst.pieces)
     r = inst.amplitude
-    current = inst.filtration.at(d, -i).intersect(inst.cut(d, i + 1, i + 1))
+    current = inst.cut_by(inst.filtration.at(d, -i), [inst.cut_rows(d, i + 1, i + 1)])
     steps = [ScheduleStep(0, i + 1, i + 2, current.dim)]
     for t in range(1, r - i + 1):
         power = i + t
-        allowed = inst.cut(d, power, i + t)   # η^{i+t}v ∈ W_{≤i+t}
-        if not allowed.contains(current):
-            witness_row = next(row for row in current.basis.data
-                               if not allowed.contains_vector(row))
+        # column j of the product is zero iff basis row j satisfies
+        # η^{i+t}v ∈ W_{≤i+t}; the witness is the first row that does not
+        product = inst.cut_rows(d, power, i + t) @ current.basis.transpose()
+        witness_row = next((row for row, column in zip(current.basis.data, zip(*product.data))
+                            if any(column)), None)
+        if witness_row is not None:
             raise ContainmentViolation(i, d, t, witness_row)
-        current = current.intersect(inst.cut(d, power, i + t - 1))
+        current = inst.cut_by(current, [inst.cut_rows(d, power, i + t - 1)])
         steps.append(ScheduleStep(t, power, i + t, current.dim))
     return current, tuple(steps)
 
 
 def direct_characterization(inst: PerverseLefschetzInstance, i: int, d: int) -> Subspace:
-    """E^{−i,d} as W_{≤−i}V^d ∩ {v : η^s v ∈ W_{≤s−1}V^{d+2s}, i < s ≤ r}."""
+    """E^{−i,d} as W_{≤−i}V^d ∩ {v : η^s v ∈ W_{≤s−1}V^{d+2s}, i < s ≤ r},
+    one cut by the stacked rows of every condition."""
     require_hard_lefschetz(inst.pieces)
-    current = inst.filtration.at(d, -i)
-    for s in range(i + 1, inst.amplitude + 1):
-        current = current.intersect(inst.cut(d, s, s - 1))
-    return current
+    return inst.cut_by(inst.filtration.at(d, -i), [
+        inst.cut_rows(d, s, s - 1) for s in range(i + 1, inst.amplitude + 1)])
 
 
 def assemble(inst: PerverseLefschetzInstance, embedded: dict,
@@ -113,7 +117,7 @@ def assemble(inst: PerverseLefschetzInstance, embedded: dict,
                 i = 2 * j - k
                 e_sub = embedded.get((i, d - 2 * j))
                 if e_sub is not None and e_sub.dim:
-                    pieces.append(image_of(inst.eta.power_block(d - 2 * j, j), e_sub))
+                    pieces.append(inst.eta_image(d - 2 * j, j, e_sub))
                     total += e_sub.dim
                 j += 1
             acc = Subspace.zero(n, FIELD_Q)
@@ -158,8 +162,8 @@ def assemble(inst: PerverseLefschetzInstance, embedded: dict,
 
 def compute_splitting(inst: PerverseLefschetzInstance) -> SplittingResult:
     """Full pipeline: the schedule (which checks its own containments) and
-    the direct characterization on every slot, compared (on shared cuts
-    this only checks that two intersection orders agree), then
+    the direct characterization on every slot, compared (on shared cut
+    rows this only checks that the two cut orders agree), then
     ``assemble``, whose checks prove the result by uniqueness."""
     require_hard_lefschetz(inst.pieces)   # validates the filtration before slot_list reads it
     embedded, schedule = {}, {}
@@ -190,17 +194,18 @@ def eta_commutation_check(inst: PerverseLefschetzInstance,
     for (i, d), e_sub in sorted(result.embedded.items()):
         if not e_sub.dim:
             continue
-        straight = [image_of(inst.eta.power_block(d, k), e_sub) for k in range(i + 1)]
+        straight = [inst.eta_image(d, k, e_sub) for k in range(i + 1)]
         for j in range(i + 1):
             for jp in range(i - j + 1):
-                stepped = image_of(inst.eta.power_block(d + 2 * j, jp), straight[j])
+                stepped = inst.eta_image(d + 2 * j, jp, straight[j])
                 ok = stepped == straight[j + jp] and stepped.dim == e_sub.dim
                 checks.append(((i, d, j, jp), ok))
                 if not ok:
                     return CommutationReport(False, tuple(checks),
                                              f"η-commutation fails at (i={i}, d={d}, "
                                              f"j={j}, j'={jp})")
-        ok = inst.cut(d, i + 1, i).contains(e_sub)   # η^{i+1}v ∈ W_{≤i}
+        # η^{i+1}v ∈ W_{≤i} on all of E
+        ok = (inst.cut_rows(d, i + 1, i) @ e_sub.basis.transpose()).is_zero()
         checks.append(((i, d, "key restriction"), ok))
         if not ok:
             return CommutationReport(False, tuple(checks),

@@ -11,7 +11,7 @@ from persplit.errors import (CompatibilityFailure, InputError,
 from persplit.graded import Filtration, GradedMap, GradedSpace
 from persplit.hodge import HodgeBigrading
 from persplit.instance import PerverseLefschetzInstance
-from persplit.linalg import Matrix, Subspace, kernel
+from persplit.linalg import Matrix, Subspace, image_of, kernel
 from persplit.scalars import Rat
 from persplit.splitting import compute_splitting, slot_list
 
@@ -126,20 +126,41 @@ def test_orthogonal_mismatch_failing_flag_raises():
         orthogonal_mismatch(inst, lopsided, compute_splitting(inst).embedded)
 
 
+def orthogonal_cut(inst, pairing, d, s):
+    """(η^s(W_{≤−s}V^{2n−d−2s}))^⊥ ⊆ V^d, from the pairing's ``perp``."""
+    src_d = 2 * pairing.center - d - 2 * s
+    pushed = image_of(inst.eta.power_block(src_d, s), inst.filtration.at(src_d, -s))
+    return pairing.perp(pushed, d)
+
+
 def test_orthogonal_cuts_are_per_pairing():
-    # one instance queried with two pairings must not mix their cached cuts
+    # one instance queried with two pairings must not mix their cached rows
     inst, q = quadric(1)
     blocks = dict(q.blocks)
     blocks[2] = Matrix.identity(3)
     other = IntersectionPairing(3, inst.space, blocks)
     cuts = [(d, s) for d in inst.space.degrees for s in range(1, inst.amplitude + 1)
             if inst.space.dim(d) and inst.space.dim(2 * q.center - d - 2 * s)]
-    fresh = {id(p): {c: quadric(1)[0].orthogonal_cut(p, *c) for c in cuts}
+    fresh = {id(p): {c: orthogonal_cut(quadric(1)[0], p, *c) for c in cuts}
              for p in (q, other)}
     assert fresh[id(q)] != fresh[id(other)]
     for pairing in (q, other, q):
         for c in cuts:
-            assert inst.orthogonal_cut(pairing, *c) == fresh[id(pairing)][c]
+            rows = inst.orthogonal_rows(pairing, *c)
+            assert kernel(rows) == fresh[id(pairing)][c]
+            assert inst.orthogonal_rows(pairing, *c) is rows
+
+
+def test_orthogonal_path_reads_neither_cut_rows_nor_pieces():
+    # the orthogonal path is independent evidence only if it reads none of
+    # the schedule's cached rows
+    inst, q = quadric(1)
+    for (i, d) in [(i, d) for d in inst.space.degrees for i in range(inst.amplitude + 1)
+                   if inst.space.dim(d)]:
+        orthogonal_characterization(inst, q, i, d)
+    assert any(key[0] == "orthogonal_rows" for key in inst._memo)
+    assert not any(key[0] == "cut_rows" for key in inst._memo)
+    assert "pieces" not in vars(inst)
 
 
 def test_compatibility_verdict_is_per_pairing():

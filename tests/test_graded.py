@@ -11,7 +11,7 @@ from persplit.graded import (Filtration, GradedMap, GradedSpace, _power_ladder,
                              nilpotency_order, validate_filtration,
                              weight_filtration)
 from persplit.instance import PerverseLefschetzInstance
-from persplit.linalg import Matrix, Subspace, preimage
+from persplit.linalg import Matrix, Subspace, kernel, preimage
 from persplit.scalars import FIELD_Q, FIELD_QI, Gaussian, Rat
 
 from oracle_helpers import (enumerate_axiom_filtrations, frac_matrix,
@@ -246,9 +246,9 @@ def test_cut_is_preimage_of_filtration_step():
                 for level in range(-r - 1, r + 2):
                     target = inst.filtration.at(d + 2 * s, level)
                     want = preimage(inst.eta.power_block(d, s), target)
-                    got = inst.cut(d, s, level)
-                    assert got == want, (d, s, level)
-                    assert inst.cut(d, s, level) is got
+                    rows = inst.cut_rows(d, s, level)
+                    assert kernel(rows) == want, (d, s, level)
+                    assert inst.cut_rows(d, s, level) is rows
 
 
 # --- monodromy weight filtration ------------------------------------------

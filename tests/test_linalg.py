@@ -92,14 +92,9 @@ def test_containment_and_membership():
     assert not a.contains_vector([0, 0, 1])
 
 
-@st.composite
-def containment_cases(draw):
-    """(a, b, v) in field^n, n ∈ 0..5: b is spanned by combinations of a's
-    basis, sometimes with extra random rows, so that both verdicts are
-    common; v is a row of b, a random vector or zero."""
-    field = draw(st.sampled_from((FIELD_Q, FIELD_QI)))
-    n = draw(st.integers(0, 5))
-
+def entry_drawers(draw, field, n):
+    """Drawers of one entry and of one length-n vector over ``field``; over
+    ℚ some entries have big numerators and denominators."""
     def entry():
         if field == FIELD_Q:
             return Rat(draw(st.one_of(SMALL, SMALL, BIG_Q)))
@@ -107,7 +102,17 @@ def containment_cases(draw):
 
     def vector():
         return tuple(entry() for _ in range(n))
+    return entry, vector
 
+
+@st.composite
+def containment_cases(draw):
+    """(a, b, v) in field^n, n ∈ 0..5: b is spanned by combinations of a's
+    basis, sometimes with extra random rows, so that both verdicts are
+    common; v is a row of b, a random vector or zero."""
+    field = draw(st.sampled_from((FIELD_Q, FIELD_QI)))
+    n = draw(st.integers(0, 5))
+    entry, vector = entry_drawers(draw, field, n)
     gens = [vector() for _ in range(draw(st.integers(0, 5)))]
     a = Subspace(n, Matrix(len(gens), n, tuple(gens), field), field)
     zero = field_zero(field)
@@ -144,6 +149,41 @@ def test_containment_matches_sum_dimension(case):
     assert (a.basis.data, b.basis.data, vec) == snapshot, "containment mutated an operand"
 
 
+@st.composite
+def cut_cases(draw):
+    """(S, R) in field^n, n ∈ 0..5: R's rows are combinations of S's
+    annihilator, sometimes with extra random rows, so that cuts keeping
+    all of S, part of it and none of it are all common."""
+    field = draw(st.sampled_from((FIELD_Q, FIELD_QI)))
+    n = draw(st.integers(0, 5))
+    entry, vector = entry_drawers(draw, field, n)
+    gens = [vector() for _ in range(draw(st.integers(0, 5)))]
+    s = Subspace(n, Matrix(len(gens), n, tuple(gens), field), field)
+    ann = s.annihilator().basis.data
+    zero = field_zero(field)
+    combos = [tuple(entry() for _ in ann) for _ in range(draw(st.integers(0, 3)))]
+    rows = [tuple(sum((c * row[j] for c, row in zip(combo, ann)), zero) for j in range(n))
+            for combo in combos]
+    rows += [vector() for _ in range(draw(st.integers(0, 2)))]
+    return s, Matrix(len(rows), n, tuple(rows), field)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cut_cases())
+@example((_q([[1, 0, 1]]), Matrix.zero(0, 3)))                                     # no rows
+@example((Subspace.zero(3), frac_matrix([[1, 2, 3]])))                              # S = 0
+@example((Subspace.full(3), frac_matrix([[1, 2, 3], [2, 4, 6]])))                   # S full
+@example((_q([[1, 0, 1], [0, 1, 0]]), frac_matrix([[1, 0, -1], [2, 0, -2]])))       # R·Sᵀ = 0
+@example((_q([[1, 0, 0], [0, 1, 1]]), frac_matrix([[1, 0, 0], [0, 1, 0]])))         # cut is 0
+@example((_q([[1, 0, 0], [0, 1, 1]]), frac_matrix([[0, 1, -1]])))                  # a proper cut
+@example((Subspace.zero(0), Matrix.zero(1, 0)))
+def test_cut_by_matches_intersection_with_kernel(case):
+    s, rows = case
+    snapshot = (s.basis.data, rows.data)
+    assert s.cut_by(rows) == s.intersect(kernel(rows))
+    assert (s.basis.data, rows.data) == snapshot, "cut_by mutated an operand"
+
+
 def test_dimension_and_field_mismatches_raise():
     a = Subspace.full(2)
     b = Subspace.full(3)
@@ -152,6 +192,10 @@ def test_dimension_and_field_mismatches_raise():
     c = Subspace.full(2, FIELD_QI)
     with pytest.raises(FieldMismatch):
         a.sum(c)
+    with pytest.raises(DimensionMismatch):
+        a.cut_by(Matrix.zero(1, 3))
+    with pytest.raises(FieldMismatch):
+        a.cut_by(Matrix.zero(1, 2, FIELD_QI))
 
 
 # --- quotients -------------------------------------------------------------
@@ -226,11 +270,7 @@ def matrix_pairs(draw):
     entries have denominators up to 10^6 that differ within a row."""
     field = draw(st.sampled_from((FIELD_Q, FIELD_QI)))
     m, n, p = (draw(st.integers(0, 4)) for _ in range(3))
-
-    def entry():
-        if field == FIELD_Q:
-            return Rat(draw(st.one_of(SMALL, SMALL, BIG_Q)))
-        return Gaussian(draw(SMALL), draw(SMALL))
+    entry, _ = entry_drawers(draw, field, 0)
 
     a = Matrix(m, n, tuple(tuple(entry() for _ in range(n)) for _ in range(m)), field)
     b = Matrix(n, p, tuple(tuple(entry() for _ in range(p)) for _ in range(n)), field)

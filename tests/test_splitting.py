@@ -10,7 +10,7 @@ from persplit.graded import GradedMap
 from persplit.instance import PerverseLefschetzInstance
 from persplit.lefschetz import (StringSpec, apply_graded_auto, build_split_model,
                                 check_hard_lefschetz, twist_model)
-from persplit.linalg import Subspace, image_of
+from persplit.linalg import Subspace, image_of, kernel
 from persplit.splitting import (assemble, compute_splitting,
                                 direct_characterization, eta_commutation_check,
                                 psi_schedule, slot_list)
@@ -159,14 +159,14 @@ def test_assemble_rejects_wrong_dimension():
 
 
 # Step t = 2 of slot (0, 4) of the twisted model below checks the rows e3,
-# e4 against the cut {v : η²v ∈ W_{≤2}V^4} = {v_0 = 0}.  This smaller
-# subspace has the same lead columns as those rows, holds e3 and not e4.
+# e4 against the cut {v : η²v ∈ W_{≤2}V^4} = {v_0 = 0}.  Cached as the
+# cut rows, the annihilator of this smaller subspace holds e3 and not e4.
 SHRUNK_CUT = Subspace.span([[0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 1]], 6)
 SCHEDULE_WITNESS = tuple(Fraction(int(j == 4)) for j in range(6))
 
 
 def shrink_schedule_cut(inst):
-    inst._memo[("cut", 4, 2, 2)] = SHRUNK_CUT
+    inst._memo[("cut_rows", 4, 2, 2)] = SHRUNK_CUT.annihilator().basis
     return inst
 
 
@@ -177,13 +177,23 @@ def twisted_model():
 
 def test_schedule_witness_is_the_first_row_outside_the_cut():
     inst = twisted_model()
-    cut = inst.cut(4, 2, 2)
+    cut = kernel(inst.cut_rows(4, 2, 2))
     assert cut.sum(SHRUNK_CUT) == cut != SHRUNK_CUT
     shrink_schedule_cut(inst)
     with pytest.raises(ContainmentViolation) as exc:
         psi_schedule(inst, 0, 4)
     assert (exc.value.i, exc.value.d, exc.value.t) == (0, 4, 2)
     assert exc.value.witness == SCHEDULE_WITNESS
+
+
+def test_schedule_witness_is_the_first_of_several_rows_outside_the_cut():
+    # neither e3 nor e4 satisfies these rows: the witness is e3, the first
+    inst = twisted_model()
+    inst._memo[("cut_rows", 4, 2, 2)] = Subspace.span([[0, 0, 0, 0, 1, 1]], 6).annihilator().basis
+    with pytest.raises(ContainmentViolation) as exc:
+        psi_schedule(inst, 0, 4)
+    assert (exc.value.i, exc.value.d, exc.value.t) == (0, 4, 2)
+    assert exc.value.witness == tuple(Fraction(int(j == 3)) for j in range(6))
 
 
 def test_split_reports_the_schedule_witness(capsys, monkeypatch, tmp_path):
@@ -216,6 +226,19 @@ def test_quadric_commutation_report():
     # key restriction: the middle lift lands in the pairing annihilator
     img = image_of(inst.eta.block(2), result.embedded[(0, 2)])
     assert inst.filtration.at(4, 0).contains(img)
+
+
+def test_eta_images_are_per_subspace():
+    # assembly and the commutation check share η^j(E); another subspace of
+    # the same degree must never read E's image
+    inst, result = quadric_split(1)
+    e_sub = result.embedded[(1, 2)]
+    first = inst.eta_image(2, 1, e_sub)
+    assert first == image_of(inst.eta.block(2), e_sub)
+    assert inst.eta_image(2, 1, e_sub) is first
+    full = Subspace.full(e_sub.ambient_dim)
+    assert inst.eta_image(2, 1, full) == image_of(inst.eta.block(2), full) != first
+    assert inst.eta_image(2, 0, e_sub) is e_sub
 
 
 def test_split_model_commutation():
