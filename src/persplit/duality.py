@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import CompatibilityFailure, InputError, PreconditionFailure
 from .graded import GradedMap, GradedSpace, memoized
-from .hodge import HodgeBigrading, is_shs
+from .hodge import HodgeBigrading, is_shs, pairing_respects_types
 from .instance import PerverseLefschetzInstance
 from .linalg import Matrix, Subspace, kernel
 from .scalars import FIELD_Q
@@ -38,8 +38,6 @@ class IntersectionPairing:
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "blocks", norm)
-        object.__setattr__(self, "_hash", hash((center, frozenset(space.dims.items()),
-                                                frozenset(norm.items()))))
         object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name, value):
@@ -52,7 +50,15 @@ class IntersectionPairing:
             (other.center, other.space, other.blocks)
 
     def __hash__(self):
-        return self._hash
+        # formed on first use, as ``Matrix`` does: a pairing that is only
+        # built and transported never hashes its blocks
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash((self.center, frozenset(self.space.dims.items()),
+                          frozenset(self.blocks.items())))
+            object.__setattr__(self, "_hash", value)
+            return value
 
     def block(self, d) -> Matrix:
         blk = self.blocks.get(d)
@@ -161,10 +167,15 @@ def orthogonal_mismatch(inst: PerverseLefschetzInstance, pairing: IntersectionPa
 def duality_hs_check(inst: PerverseLefschetzInstance, pairing: IntersectionPairing,
                      bigrading: HodgeBigrading) -> DualityHSReport:
     """Piece (p,q) of V^d may pair nontrivially only with (n−p, n−q) of
-    V^{2n−d}."""
+    V^{2n−d}.  Decided by the bigrading's operators; the pieces are searched
+    only to name a failing pair, or when some degree's pieces are not a
+    basis."""
     if not pairing.is_nondegenerate():
         raise PreconditionFailure("pairing is degenerate")
     n = pairing.center
+    if all(pairing_respects_types(pairing.block(d), bigrading, d, n)
+           for d in inst.space.degrees):
+        return DualityHSReport(True)
     for d in inst.space.degrees:
         dual_d = 2 * n - d
         blk = pairing.block(d).complexify()
@@ -267,29 +278,18 @@ def _pairing_complement(pairing, d, g_k, target, partner) -> Subspace:
 
 
 def _tensor_types(inst, pairing, p_mat, d):
-    """Hodge types of the tensor τ ∈ V^d ⊗ V^{2n−d} with p = τ·Qᵀ."""
+    """Hodge types of the tensor τ ∈ V^d ⊗ V^{2n−d} with p = τ·Qᵀ, read in
+    the coordinates of the pieces of both degrees."""
     big = inst.hodge
-    dual_d = 2 * pairing.center - d
+    left = big.decomposition(d)
+    right = big.decomposition(2 * pairing.center - d)
+    if left.coords is None or right.coords is None:
+        raise InputError("the Hodge pieces of a degree are not a basis")
     tau = (p_mat @ pairing.block(d).transpose().inverse()).complexify()
-    left = _piece_basis(big, d)
-    right = _piece_basis(big, dual_d)
-    coords = left[0].inverse() @ tau @ right[0].inverse().transpose()
+    coords = left.coords @ tau @ right.coords.transpose()
     types = set()
-    for a, (pa, qa) in enumerate(left[1]):
-        for b, (pb, qb) in enumerate(right[1]):
+    for a, (pa, qa) in enumerate(left.types):
+        for b, (pb, qb) in enumerate(right.types):
             if coords.data[a][b]:
                 types.add((pa + pb, qa + qb))
     return tuple(sorted(types))
-
-
-def _piece_basis(big, d):
-    """Column matrix of concatenated piece bases and per-column types."""
-    cols = []
-    types = []
-    for (p, q), piece in sorted(big.degree_pieces(d).items()):
-        for row in piece.basis.data:
-            cols.append(row)
-            types.append((p, q))
-    from .scalars import FIELD_QI
-    mat = Matrix.from_rows(cols, big.space.dim(d), field=FIELD_QI)
-    return mat.transpose(), types

@@ -5,24 +5,42 @@ decomposition of the complexified space into (p, q) pieces.  Checks:
 sub-Hodge-structure membership, morphisms of Hodge structures, the
 retraction splitting criterion, Hodge-theoretic verification of computed
 splittings, and group invariants.
+
+A Hodge structure is a representation of the Deligne torus (Deligne,
+*Théorie de Hodge II*, 1971), so the checks run on operators instead of
+on the pieces.  One Q(i) inverse per degree gives the projectors π_pq of
+the decomposition.  Conjugation swaps π_pq and π_qp, so the operators
+R_pq = π_pq + π_qp and J_pq = i(π_pq − π_qp) for p < q, and π_pp itself,
+are rational; as π_pq = (R_pq − iJ_pq)/2, they decide each check with
+products over Q:
+
+- S is a sub-Hodge structure iff R·S ⊆ S and J·S ⊆ S for every operator;
+- f is a morphism of type (a, a) iff f·R_pq = R'_{p+a,q+a}·f, and the
+  same for J and π_pp;
+- a pairing Q couples (p, q) only with (n−p, n−q) iff
+  R_pqᵀ·Q = Q·R_{n−p,n−q}, and the same for J and π_pp (``duality``).
+
+A degree that is one (p, p) piece has π_pp = I, and its checks need no
+arithmetic.  Where the pieces of a degree are not a basis, the checks fall
+back on the pieces themselves.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (EngineDefect, GroupClosureBoundExceeded, HypothesisFailure,
                      InputError, PreconditionFailure)
-from .graded import GradedMap, GradedSpace
+from .graded import GradedMap, GradedSpace, memoized
 from .instance import PerverseLefschetzInstance
-from .linalg import Matrix, Subspace, image_of, kernel
-from .scalars import FIELD_QI
+from .linalg import Matrix, Subspace, _leads, _spans, image_of, kernel
+from .scalars import FIELD_Q, FIELD_QI, GI_I
 
 
 class HodgeBigrading:
     """weights: degree → weight; pieces: (d, p, q) → Subspace over Q(i)."""
 
-    __slots__ = ("space", "weights", "pieces")
+    __slots__ = ("space", "weights", "pieces", "_memo")
 
     def __init__(self, space: GradedSpace, weights, pieces):
         weights = {int(d): int(w) for d, w in weights.items()}
@@ -43,6 +61,7 @@ class HodgeBigrading:
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "pieces", norm)
+        object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("HodgeBigrading is immutable")
@@ -56,23 +75,27 @@ class HodgeBigrading:
     def degree_pieces(self, d):
         return {(p, q): sub for (dd, p, q), sub in self.pieces.items() if dd == d}
 
+    def decomposition(self, d) -> "Decomposition":
+        """Degree d split by its pieces; formed once per bigrading."""
+        return memoized(self._memo, ("decomposition", d), lambda: _decompose(
+            self.space.dim(d), sorted(self.degree_pieces(d).items())))
+
     def validate(self):
         """Pieces independent and spanning per degree; conj swaps (p,q)↔(q,p)."""
         errors = []
         for d in self.space.degrees:
-            n = self.space.dim(d)
-            by_pq = self.degree_pieces(d)
-            total = sum(s.dim for s in by_pq.values())
-            acc = Subspace.zero(n, FIELD_QI)
-            for s in by_pq.values():
-                acc = acc.sum(s)
-            if acc.dim != total:
+            dec = self.decomposition(d)
+            if dec.rank != dec.total:
                 errors.append(f"degree {d}: pieces not independent")
-            if acc.dim != n:
+            if dec.rank != self.space.dim(d):
                 errors.append(f"degree {d}: pieces do not span")
+            if dec.whole is not None:
+                continue
+            by_pq = self.degree_pieces(d)
             for (p, q), s in by_pq.items():
                 partner = by_pq.get((q, p))
-                if partner is None or s.conjugate() != partner:
+                # the conjugate of an RREF basis is the RREF basis of the conjugate
+                if partner is None or s.basis.conjugate() != partner.basis:
                     errors.append(f"degree {d}: conj of piece ({p},{q}) is not piece ({q},{p})")
         return errors
 
@@ -97,22 +120,152 @@ class HodgeBigrading:
         return cls(space, weights, pieces)
 
 
+@dataclass(frozen=True)
+class Decomposition:
+    """One degree of a bigrading: V ⊗ Q(i) = ⊕ V_pq.
+
+    ``rank`` is the dimension of the span of the pieces and ``total`` the
+    sum of their dimensions.  The rest is set only when the pieces are a
+    basis (rank = total = dim V): ``coords`` is B⁻¹ for B the columns of
+    the piece bases in sorted type order, ``types`` the type of each
+    coordinate, and ``ops`` maps each type {p, q}, p ≤ q, to its operators:
+    (R_pq, J_pq) for p < q and (π_pp,) for p = q, over Q when conjugation
+    swaps the pieces and over Q(i) otherwise.  ``whole`` is (p, p) when the
+    degree is one (p, p) piece; then its one operator is the identity."""
+
+    rank: int
+    total: int
+    coords: "Matrix | None" = None
+    types: tuple = ()
+    ops: dict = field(default_factory=dict)
+    whole: "tuple | None" = None
+
+
+def _decompose(n, pieces) -> Decomposition:
+    """``pieces``: the ((p, q), Subspace) of one degree of dimension n, sorted."""
+    types = tuple(pq for pq, sub in pieces for _ in range(sub.dim))
+    total = len(types)
+    if len(pieces) == 1 and total == n:
+        # a piece spanning the degree has the identity as its RREF basis
+        coords = Matrix.identity(n, FIELD_QI)
+        (p, q), _ = pieces[0]
+        if p == q:
+            return Decomposition(n, n, coords, types, {(p, p): (Matrix.identity(n),)}, (p, p))
+    else:
+        # [B | I] reduces to [I | B⁻¹] exactly when the pieces are a basis
+        stacked = [row for _, sub in pieces for row in sub.basis.data]
+        ident = Matrix.identity(n, FIELD_QI).data
+        reduced, pivots = Matrix(n, total + n, tuple(
+            tuple(row[i] for row in stacked) + ident[i] for i in range(n)),
+            FIELD_QI, _raw=True).rref()
+        rank = sum(1 for c in pivots if c < total)
+        if not rank == total == n:
+            return Decomposition(rank, total)
+        coords = Matrix(n, n, tuple(row[n:] for row in reduced.data), FIELD_QI, _raw=True)
+    projector, start = {}, 0
+    for pq, sub in pieces:
+        rows = Matrix(sub.dim, n, coords.data[start:start + sub.dim], FIELD_QI, _raw=True)
+        projector[pq] = sub.basis.transpose() @ rows
+        start += sub.dim
+    zero = Matrix.zero(n, n, FIELD_QI)
+    ops = {}
+    for p, q in sorted({(min(pq), max(pq)) for pq in projector}):
+        if p == q:
+            ops[(p, q)] = (_rational(projector[(p, q)]),)
+        else:
+            a, b = projector.get((p, q), zero), projector.get((q, p), zero)
+            ops[(p, q)] = (_rational(a + b), _rational((a - b).scale(GI_I)))
+    return Decomposition(n, n, coords, types, ops)
+
+
+def _rational(m: Matrix) -> Matrix:
+    """``m`` over Q when every entry is real, else ``m``."""
+    if any(x.im for row in m.data for x in row):
+        return m
+    return Matrix(m.rows, m.cols, tuple(tuple(x.re for x in row) for row in m.data),
+                  FIELD_Q, _raw=True)
+
+
+def _equal_products(a: Matrix, b: Matrix, c: Matrix, d: Matrix) -> bool:
+    """a·b = c·d, over Q(i) if any factor is."""
+    if FIELD_QI in (a.field, b.field, c.field, d.field):
+        a, b, c, d = (m.complexify() for m in (a, b, c, d))
+    return a @ b == c @ d
+
+
 def is_shs(sub: Subspace, bigrading: HodgeBigrading, d: int) -> bool:
-    """True iff S⊗Q(i) is the sum of its intersections with the pieces."""
+    """True iff S⊗Q(i) is the sum of its intersections with the pieces,
+    that is, iff every operator of the degree maps S into itself."""
     if sub.ambient_dim != bigrading.space.dim(d):
         raise InputError("subspace/degree mismatch")
-    s_c = sub.complexify()
-    total = 0
-    for piece in bigrading.degree_pieces(d).values():
-        total += s_c.intersect(piece).dim
-    return total == sub.dim
+    dec = bigrading.decomposition(d)
+    if dec.coords is None:
+        s_c = sub.complexify()
+        return sum(s_c.intersect(piece).dim
+                   for piece in bigrading.degree_pieces(d).values()) == sub.dim
+    if dec.whole is not None or sub.is_zero() or sub.is_full():
+        return True
+    ops = [op for ops in dec.ops.values() for op in ops]
+    basis = sub.basis
+    if basis.field == FIELD_QI or any(op.field == FIELD_QI for op in ops):
+        basis, ops = basis.complexify(), [op.complexify() for op in ops]
+    # one product decides op·S ⊆ S for every operator at once
+    images = tuple(row for op in ops for row in (basis @ op.transpose()).data)
+    return _spans(basis, _leads(basis.data), images)
 
 
 def is_hs_map(f: GradedMap, a: int, src: HodgeBigrading, dst: HodgeBigrading):
-    """True iff every piece (p,q) maps into the target piece (p+a, q+a)."""
-    for (d, p, q), piece in src.pieces.items():
-        target = dst.pieces.get((d + f.shift, p + a, q + a))
-        img = image_of(f.block(d).complexify(), piece)
+    """True iff every piece (p,q) maps into the target piece (p+a, q+a),
+    that is, iff f intertwines the operators of each degree with those of
+    the target at types shifted by (a, a)."""
+    for d in sorted({d for d, _, _ in src.pieces}):
+        block = f.block(d)
+        s, t = src.decomposition(d), dst.decomposition(d + f.shift)
+        if s.coords is None or t.coords is None:
+            ok = _maps_pieces(block, src, dst, d, d + f.shift, a)
+        elif s.whole is not None and t.whole is not None:
+            ok = t.whole == (s.whole[0] + a, s.whole[1] + a) or block.is_zero()
+        else:
+            ok = all(_equal_products(block, left, right, block)
+                     for left, right in _counterparts(s, t, lambda p, q: (p + a, q + a)))
+        if not ok:
+            return False
+    return True
+
+
+def pairing_respects_types(block: Matrix, bigrading: HodgeBigrading, d: int, n: int) -> bool:
+    """Whether the pairing block V^d × V^{2n−d} couples each piece (p, q)
+    only with (n−p, n−q): R_pqᵀ·Q = Q·R_{n−p,n−q}, and the same for J and
+    π_pp.  False also when the pieces of either degree are not a basis;
+    ``duality.duality_hs_check`` then searches the pieces."""
+    s, t = bigrading.decomposition(d), bigrading.decomposition(2 * n - d)
+    if s.coords is None or t.coords is None:
+        return False
+    if s.whole is not None and t.whole is not None:
+        return t.whole == (n - s.whole[0], n - s.whole[1]) or block.is_zero()
+    dual = lambda p, q: (n - q, n - p)     # reverses p < q, so J_{n−p,n−q} = −J_{n−q,n−p}
+    return all(_equal_products(left.transpose(), block, block, right)
+               for left, right in _counterparts(s, t, dual, flip_j=True))
+
+
+def _counterparts(s: Decomposition, t: Decomposition, partner, flip_j=False):
+    """(operator of s, its counterpart in t, zero if t has no piece of that
+    type) for every type {p, q}, p ≤ q, of s, matched by ``partner``.  The
+    types of s suffice: t's pieces are a basis, so the operators of s
+    account for all of it.  ``flip_j`` negates the counterpart of J, for a
+    partner that reverses the order of p and q."""
+    zero = Matrix.zero(t.rank, t.rank)
+    for key, ops in sorted(s.ops.items()):
+        right = t.ops.get(partner(*key), (zero, zero))
+        for k, op in enumerate(ops):
+            yield op, -right[k] if flip_j and k else right[k]
+
+
+def _maps_pieces(block, src, dst, d, d2, a) -> bool:
+    """Degree d of ``is_hs_map``, piece by piece: for pieces that are not a basis."""
+    for (p, q), piece in src.degree_pieces(d).items():
+        target = dst.pieces.get((d2, p + a, q + a))
+        img = image_of(block.complexify(), piece)
         if img.dim and (target is None or not target.contains(img)):
             return False
     return True

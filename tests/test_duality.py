@@ -66,6 +66,21 @@ def test_transport_by_identity_is_identity():
     assert q.transport(ident) == q
 
 
+def test_pairing_hashes_its_blocks_on_first_hash_only(monkeypatch):
+    inst, q = quadric(2)
+    hashed = []
+    real = Matrix.__hash__
+    monkeypatch.setattr(Matrix, "__hash__", lambda self: hashed.append(self) or real(self))
+    minus = GradedMap(0, {d: -Matrix.identity(inst.space.dim(d)) for d in inst.space.degrees},
+                      inst.space)
+    built = IntersectionPairing(q.center, q.space, dict(q.blocks))
+    moved = built.transport(minus)
+    assert hashed == []
+    assert moved == built == q
+    assert hash(moved) == hash(built) == hash(q)
+    assert len(hashed) == 3 * len(q.blocks)
+
+
 # --- orthogonality characterization -----------------------------------------
 
 def test_orthogonal_characterization_matches_kernel_oracle():

@@ -1,19 +1,22 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from persplit.corpus import quadric_cone
+from persplit.duality import IntersectionPairing, duality_hs_check
 from persplit.errors import (GroupClosureBoundExceeded, HypothesisFailure,
                              InputError, PreconditionFailure)
-from persplit.graded import GradedMap, GradedSpace
+from persplit.graded import Filtration, GradedMap, GradedSpace
 from persplit.hodge import (HodgeBigrading, retraction_criterion, group_invariants,
                             is_hs_map, is_shs, verify_hodge_splitting)
 from persplit.instance import PerverseLefschetzInstance
 from persplit.lefschetz import StringSpec, build_split_model
 from persplit.linalg import Matrix, Subspace
-from persplit.scalars import FIELD_QI, Gaussian, Rat
+from persplit.scalars import FIELD_Q, FIELD_QI, Gaussian, Rat
 from persplit.splitting import compute_splitting
 
+from hodge_oracle import oracle_is_hs_map, oracle_is_shs, oracle_mixed_pair, oracle_validate
 from oracle_helpers import frac_matrix, random_unimodular, weight_one_bigrading
 
 I = Gaussian(0, 1)
@@ -241,3 +244,190 @@ def test_infinite_group_exceeds_closure_bound():
     shear = GradedMap(0, {0: frac_matrix([[1, 1], [0, 1]])}, space)
     with pytest.raises(GroupClosureBoundExceeded):
         group_invariants([shear], space, closure_bound=50)
+
+
+# --- the operators against the per-piece oracle ------------------------------
+#
+# A random degree: weight w, conjugate pairs (p, w−p) + (w−p, p) of k0 and k1
+# complex dimensions for p = 0, 1, and a (w/2, w/2) piece of dimension m.  In
+# base coordinates a pair sits on coordinates (c, c+1) as (1, i) and (1, −i),
+# and the (p, p) piece on unit vectors; a unimodular g then moves everything
+# out of coordinate position.  A mutation breaks validity on purpose.
+
+MUTATIONS = (None, "dependent", "missing", "unconjugated")
+
+
+def _layout(w, k0, k1, m):
+    """[(type, complex dim)] of one degree, zero dims dropped."""
+    blocks = [((p, w - p), k) for p, k in ((0, k0), (1, k1)) if p < w - p]
+    if w % 2 == 0:
+        blocks.append(((w // 2, w // 2), m))
+    return [(pq, k) for pq, k in blocks if k]
+
+
+def _base_pieces(blocks, relabel=lambda pq: pq):
+    """{type: rows} in base coordinates, and the coordinate blocks."""
+    n = sum(2 * k if p != q else k for (p, q), k in blocks)
+    unit = [[Gaussian(1 if j == c else 0) for j in range(n)] for c in range(n)]
+    pieces, coords, c = {}, [], 0
+    for (p, q), k in blocks:
+        if p == q:
+            pieces[relabel((p, q))] = [unit[c + j] for j in range(k)]
+            coords.append(list(range(c, c + k)))
+            c += k
+            continue
+        plus = [[a + I * b for a, b in zip(unit[c + 2 * j], unit[c + 2 * j + 1])] for j in range(k)]
+        minus = [[a - I * b for a, b in zip(unit[c + 2 * j], unit[c + 2 * j + 1])] for j in range(k)]
+        pieces[relabel((p, q))], pieces[relabel((q, p))] = plus, minus
+        coords.extend([c + 2 * j, c + 2 * j + 1] for j in range(k))
+        c += 2 * k
+    return n, pieces, coords
+
+
+def _mutate(pieces, mutation):
+    keys = list(pieces)
+    if mutation == "dependent" and len(keys) > 1:
+        pieces[keys[0]] = pieces[keys[0]] + pieces[keys[1]][:1]
+    elif mutation == "missing" and keys:
+        del pieces[keys[-1]]
+    elif mutation == "unconjugated":
+        pair = next(((p, q) for p, q in keys if p > q), None)
+        if pair is not None:
+            row = pieces[pair][0]
+            pieces[pair] = [[x.re + 2 * I * x.im for x in row]] + pieces[pair][1:]
+    return pieces
+
+
+def _bigrading(d, w, n, pieces, g):
+    space = GradedSpace({d: n})
+    gt = g.complexify().transpose()
+    return HodgeBigrading(space, {d: w}, {
+        (d, p, q): Subspace(n, Matrix(len(rows), n, rows, FIELD_QI) @ gt)
+        for (p, q), rows in pieces.items()})
+
+
+def _random_rows(rng, count, n):
+    return [[Rat(rng.randint(-2, 2)) for _ in range(n)] for _ in range(count)]
+
+
+def _base_change(rng, n):
+    return random_unimodular(rng, n) if n else Matrix.identity(0)
+
+
+LAYOUTS = st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(LAYOUTS, st.sampled_from(MUTATIONS), st.integers(0, 1), st.integers(0, 2 ** 16))
+@example((0, 0, 0, 0), None, 0, 0)                 # a 0-dim degree
+@example((2, 0, 0, 2), None, 0, 1)                 # one full (1,1) piece
+@example((2, 0, 0, 2), None, 1, 2)                 # one full piece, a = 1
+@example((3, 1, 1, 0), None, 1, 3)                 # two conjugate pairs, a = 1
+@example((2, 1, 0, 1), "dependent", 0, 4)          # validate: not independent
+@example((2, 1, 0, 1), "missing", 0, 5)            # validate: no span, no partner
+@example((1, 2, 0, 0), "unconjugated", 0, 6)       # validate: conj is not the partner
+def test_operators_match_the_per_piece_checks(layout, mutation, a, seed):
+    rng = random.Random(seed)
+    n, pieces, coords = _base_pieces(_layout(*layout))
+    pieces = _mutate(pieces, mutation)
+    g = _base_change(rng, n)
+    big = _bigrading(0, layout[0], n, pieces, g)
+    assert big.validate() == oracle_validate(big)
+    if not big.validate():      # conjugation swaps the pieces: every operator is rational
+        assert all(op.field == FIELD_Q for ops in big.decomposition(0).ops.values()
+                   for op in ops)
+    if mutation == "dependent" and len(pieces) > 1:
+        assert "degree 0: pieces not independent" in big.validate()
+    # sub-Hodge structures: random subspaces, and spans of coordinate blocks
+    for _ in range(4):
+        rows = _random_rows(rng, rng.randint(0, n + 1), n)
+        if coords and rng.random() < 0.5:
+            chosen = [c for block in coords if rng.random() < 0.5 for c in block]
+            rows = [[Rat(1 if j == c else 0) for j in range(n)] for c in chosen]
+            rows = [list(r) for r in (Matrix(len(rows), n, rows) @ g.transpose()).data] \
+                if rows else []
+        sub = Subspace.span(rows, n)
+        assert is_shs(sub, big, 0) == oracle_is_shs(sub, big, 0)
+    # morphisms of type (a, a) onto the same pieces with types shifted, made
+    # of complex scalars on each pair and any map on the (p, p) coordinates
+    shifted = {(p + a, q + a): rows for (p, q), rows in pieces.items()}
+    g2 = _base_change(rng, n)
+    dst = _bigrading(0, layout[0] + 2 * a, n, shifted, g2)
+    base = [[Rat(0)] * n for _ in range(n)]
+    for block in coords:
+        if len(block) == 2:
+            x, y = Rat(rng.randint(-2, 2)), Rat(rng.randint(-2, 2))
+            (c, c2) = block
+            base[c][c], base[c][c2], base[c2][c], base[c2][c2] = x, -y, y, x
+        else:
+            for c in block:
+                for c2 in block:
+                    base[c][c2] = Rat(rng.randint(-2, 2))
+    f = g2 @ Matrix(n, n, base) @ g.inverse() if n else Matrix.zero(0, 0)
+    if n and rng.random() < 0.4:
+        f = f + Matrix(n, n, _random_rows(rng, n, n))
+    fmap = GradedMap(0, {0: f}, big.space)
+    assert is_hs_map(fmap, a, big, dst) == oracle_is_hs_map(fmap, a, big, dst)
+    assert is_hs_map(fmap, a, big, big) == oracle_is_hs_map(fmap, a, big, big)
+
+
+def _dual_relabel(n, mutation):
+    """Labels of the pieces of degree 2n − d, which sit on the same base
+    coordinates as those of degree d.  The identity pairing couples (1, i)
+    with (1, −i) and not with itself, so the partner (n−p, n−q) of the piece
+    (p, q) on (1, i) sits on (1, −i), and the piece on (1, i) is (n−q, n−p).
+    "swap" gives it the type (n−p, n−q) instead."""
+    def relabel(pq):
+        p, q = pq
+        return (n - p, n - q) if mutation == "swap" else (n - q, n - p)
+    return relabel
+
+
+@settings(max_examples=200, deadline=None)
+@given(LAYOUTS, st.sampled_from((None, "swap", "retype", "drop")), st.booleans(),
+       st.integers(0, 2 ** 16))
+@example((0, 0, 0, 0), None, False, 0)             # 0-dim degrees
+@example((2, 0, 0, 2), None, False, 1)             # one full (p, p) piece per degree
+@example((2, 0, 0, 2), "retype", False, 2)         # (1,1) has no dual partner
+@example((3, 1, 1, 0), "swap", False, 3)           # a pair pairs with the wrong type
+@example((2, 1, 0, 1), "drop", False, 4)           # dual pieces are not a basis
+@example((1, 1, 0, 0), None, True, 5)              # a perturbed pairing
+def test_pairing_operators_match_the_per_piece_search(layout, mutation, perturb, seed):
+    rng = random.Random(seed)
+    center, d, dual_d = 2, 1, 3
+    blocks = _layout(*layout)
+    n, pieces, _ = _base_pieces(blocks)
+    _, dual_pieces, _ = _base_pieces(blocks, _dual_relabel(center, mutation))
+    c = center - layout[0] // 2
+    if mutation == "retype" and (c, c) in dual_pieces and len(dual_pieces[(c, c)]) >= 2:
+        first, second, *rest = dual_pieces.pop((c, c))
+        dual_pieces[(c - 1, c + 1)] = [[x + I * y for x, y in zip(first, second)]]
+        dual_pieces[(c + 1, c - 1)] = [[x - I * y for x, y in zip(first, second)]]
+        if rest:
+            dual_pieces[(c, c)] = rest
+    if mutation == "drop" and dual_pieces:
+        del dual_pieces[max(dual_pieces)]
+    g, g2 = _base_change(rng, n), _base_change(rng, n)
+    left = _bigrading(d, layout[0], n, pieces, g)
+    right = _bigrading(dual_d, 2 * center - layout[0], n, dual_pieces, g2)
+    space = GradedSpace({d: n, dual_d: n})
+    big = HodgeBigrading(space, {d: layout[0], dual_d: 2 * center - layout[0]},
+                         {**left.pieces, **right.pieces})
+    q0 = Matrix.identity(n)
+    if perturb and n:
+        q0 = q0 + Matrix(n, n, _random_rows(rng, n, n))
+    # Q(g·u, g2·v) = Q0(u, v)
+    block = g.inverse().transpose() @ q0 @ g2.inverse() if n else Matrix.zero(0, 0)
+    pairing = IntersectionPairing(center, space, {d: block, dual_d: block.transpose()})
+    inst = PerverseLefschetzInstance(
+        center=center, space=space, eta=GradedMap(2, {}, space),
+        filtration=Filtration(space, {(e, 0): Subspace.full(n) for e in (d, dual_d)}))
+    if not pairing.is_nondegenerate():
+        with pytest.raises(PreconditionFailure, match="degenerate"):
+            duality_hs_check(inst, pairing, big)
+        return
+    report = duality_hs_check(inst, pairing, big)
+    expected = oracle_mixed_pair(space, pairing, big)
+    assert (report.passed, report.failure) == (expected is None, expected)
+    if mutation is None and not perturb:
+        assert report.passed
