@@ -37,7 +37,7 @@ PROFILE_ENV = "PERSPLIT_PROFILE"
 
 
 def _print_json(doc):
-    print(json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False))
+    sys.stdout.write(fileformat.canonical_text(doc))
 
 
 def _emit(args, command, inst, checks, extra=None):

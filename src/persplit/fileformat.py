@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from json.encoder import encode_basestring
 
 from .duality import IntersectionPairing
 from .errors import ParseError
@@ -70,7 +71,50 @@ def serialize_instance(inst: PerverseLefschetzInstance) -> dict:
 
 
 def canonical_text(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """``json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False)``
+    plus a newline, byte for byte, for a document whose object keys are
+    strings (a non-string key raises ``TypeError``).  With an indent,
+    ``json`` runs its pure-Python encoder; this writer formats strings
+    with the C ``encode_basestring`` and builds the text in one join."""
+    parts = []
+    _write_json(doc, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _write_json(value, newline, parts):
+    if isinstance(value, str):
+        parts.append(encode_basestring(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        if set(map(type, value)) == {str}:      # such as a matrix row
+            parts.append("[" + inner + ("," + inner).join(map(encode_basestring, value))
+                         + newline + "]")
+            return
+        sep = "[" + inner
+        for item in value:
+            parts.append(sep)
+            _write_json(item, inner, parts)
+            sep = "," + inner
+        parts.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            parts.append(sep + encode_basestring(key) + ": ")
+            _write_json(item, inner, parts)
+            sep = "," + inner
+        parts.append(newline + "}")
+    elif type(value) is int:
+        parts.append(repr(value))
+    else:
+        parts.append(json.dumps(value))
 
 
 def serialize(inst: PerverseLefschetzInstance) -> str:
@@ -100,7 +144,10 @@ def _get(obj, key, pointer, kind=None):
     return value
 
 
-def _parse_matrix(rows, cols, obj, pointer, field=FIELD_Q):
+def _parse_matrix(rows, cols, obj, pointer, scalars, field=FIELD_Q):
+    """The ``rows × cols`` matrix of the list ``obj``.  ``scalars`` maps each
+    entry string already parsed in this file, over ``field``, to its
+    value, so each distinct string is parsed once."""
     _expect(isinstance(obj, list) and len(obj) == rows,
             f"expected {rows} rows", pointer)
     data = []
@@ -109,15 +156,20 @@ def _parse_matrix(rows, cols, obj, pointer, field=FIELD_Q):
                 f"expected {cols} entries", f"{pointer}/{r}")
         out = []
         for c, entry in enumerate(row):
-            try:
-                out.append(parse_scalar(entry, field))
-            except ValueError as exc:
-                raise ParseError(str(exc), f"{pointer}/{r}/{c}") from None
-        data.append(out)
-    return Matrix(rows, cols, data, field)
+            value = scalars.get(entry) if type(entry) is str else None
+            if value is None:
+                try:
+                    value = parse_scalar(entry, field)
+                except ValueError as exc:
+                    raise ParseError(str(exc), f"{pointer}/{r}/{c}") from None
+                if type(entry) is str:
+                    scalars[entry] = value
+            out.append(value)
+        data.append(tuple(out))
+    return Matrix(rows, cols, tuple(data), field, _raw=True)
 
 
-def _parse_blocks(records, pointer, noun, dims, shape):
+def _parse_blocks(records, pointer, noun, dims, shape, scalars):
     """``{d: matrix}`` from a list of ``{"d", "matrix"}`` records; the
     block at degree d must have shape ``shape(d)``."""
     blocks = {}
@@ -127,7 +179,7 @@ def _parse_blocks(records, pointer, noun, dims, shape):
         _expect(d in dims, f"{noun} block in unknown degree {d}", f"{ptr}/d")
         _expect(d not in blocks, f"duplicate {noun} block at degree {d}", ptr)
         blocks[d] = _parse_matrix(*shape(d), _get(rec, "matrix", ptr, list),
-                                  f"{ptr}/matrix")
+                                  f"{ptr}/matrix", scalars)
     return blocks
 
 
@@ -138,6 +190,8 @@ def parse_instance(doc) -> PerverseLefschetzInstance:
     _expect(doc.get("version") == FORMAT_VERSION,
             f"unsupported version (expected {FORMAT_VERSION})", "/version")
     center = _get(doc, "center", "", int)
+    # entry string -> value, one dict per field and per parse
+    rationals, gaussians = {}, {}
 
     dims, labels = {}, {}
     degs = _get(doc, "degrees", "", list)
@@ -163,12 +217,12 @@ def parse_instance(doc) -> PerverseLefschetzInstance:
         basis = _get(rec, "basis", ptr, list)
         _expect(d in dims, f"filtration step in unknown degree {d}", f"{ptr}/d")
         _expect((d, i) not in steps, f"duplicate filtration step ({d}, {i})", ptr)
-        mat = _parse_matrix(len(basis), dims[d], basis, f"{ptr}/basis")
+        mat = _parse_matrix(len(basis), dims[d], basis, f"{ptr}/basis", rationals)
         steps[(d, i)] = Subspace(dims[d], mat)
     filtration = Filtration(space, steps)
 
     eta_blocks = _parse_blocks(_get(doc, "eta", "", list), "/eta", "operator", dims,
-                               lambda d: (dims.get(d + 2, 0), dims[d]))
+                               lambda d: (dims.get(d + 2, 0), dims[d]), rationals)
     eta = GradedMap(2, eta_blocks, space)
 
     hodge = None
@@ -183,7 +237,8 @@ def parse_instance(doc) -> PerverseLefschetzInstance:
             _expect(weights.setdefault(d, p + q) == p + q,
                     f"inconsistent weight in degree {d}", ptr)
             basis = _get(rec, "basis", ptr, list)
-            mat = _parse_matrix(len(basis), dims[d], basis, f"{ptr}/basis", FIELD_QI)
+            mat = _parse_matrix(len(basis), dims[d], basis, f"{ptr}/basis", gaussians,
+                                FIELD_QI)
             pieces[(d, p, q)] = Subspace(dims[d], mat)
         for d in space.degrees:
             _expect(d in weights, f"no bigrading pieces in degree {d}", "/hodge")
@@ -196,7 +251,8 @@ def parse_instance(doc) -> PerverseLefschetzInstance:
         _expect(n == center, "pairing center differs from the instance center",
                 "/pairing/n")
         blocks = _parse_blocks(_get(rec, "blocks", "/pairing", list), "/pairing/blocks",
-                               "pairing", dims, lambda d: (dims[d], dims.get(2 * n - d, 0)))
+                               "pairing", dims, lambda d: (dims[d], dims.get(2 * n - d, 0)),
+                               rationals)
         pairing = IntersectionPairing(n, space, blocks)
 
     groups = None
@@ -210,7 +266,7 @@ def parse_instance(doc) -> PerverseLefschetzInstance:
                 gptr = f"{ptr}/generators/{g}"
                 _expect(isinstance(grec, list), "expected a list of blocks", gptr)
                 blocks = _parse_blocks(grec, gptr, "generator", dims,
-                                       lambda d: (dims[d], dims[d]))
+                                       lambda d: (dims[d], dims[d]), rationals)
                 gens.append(GradedMap(0, blocks, space))
             groups[name] = tuple(gens)
 

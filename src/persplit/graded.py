@@ -7,6 +7,7 @@ jump positions and clamps to the zero/full subspace outside them.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import InputError, VerificationFailure
@@ -136,38 +137,39 @@ class Filtration:
     subspace below the lowest jump and to the highest stored step above.
     """
 
-    __slots__ = ("space", "steps", "field")
+    __slots__ = ("space", "steps", "field", "_jumps")
 
     def __init__(self, space: GradedSpace, steps, field=FIELD_Q):
-        norm = {}
+        norm, jumps = {}, {}
         for (d, i), sub in steps.items():
             d, i = int(d), int(i)
             if sub.ambient_dim != space.dim(d):
                 raise InputError(f"step ({d},{i}): ambient {sub.ambient_dim} != dim {space.dim(d)}")
             norm[(d, i)] = sub
+            jumps.setdefault(d, []).append(i)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "steps", norm)
         object.__setattr__(self, "field", field)
+        object.__setattr__(self, "_jumps", {d: sorted(js) for d, js in jumps.items()})
 
     def __setattr__(self, name, value):
         raise AttributeError("Filtration is immutable")
 
     def jumps(self, d):
-        return sorted(i for (dd, i) in self.steps if dd == d)
+        return list(self._jumps.get(d, ()))
 
     def at(self, d, i) -> Subspace:
-        n = self.space.dim(d)
-        stored = self.jumps(d)
+        stored = self._jumps.get(d)
         if not stored:
             # No steps recorded for this degree: degenerate full at all i ≥ 0
             # only if the degree is absent; a present degree must have steps.
-            if n == 0:
+            if self.space.dim(d) == 0:
                 return Subspace.zero(0, self.field)
             raise InputError(f"no filtration steps recorded for degree {d}")
-        below = [j for j in stored if j <= i]
-        if not below:
-            return Subspace.zero(n, self.field)
-        return self.steps[(d, max(below))]
+        k = bisect_right(stored, i)
+        if not k:
+            return Subspace.zero(self.space.dim(d), self.field)
+        return self.steps[(d, stored[k - 1])]
 
     def __eq__(self, other):
         if not isinstance(other, Filtration):

@@ -20,7 +20,7 @@ from .scalars import FIELD_Q, FIELD_QI, Q_ZERO, Gaussian, as_field, field_one, f
 class Matrix:
     """Immutable dense matrix; rows of exact field elements."""
 
-    __slots__ = ("rows", "cols", "data", "field", "_hash")
+    __slots__ = ("rows", "cols", "data", "field", "_hash", "_transpose", "_integer")
 
     def __init__(self, rows, cols, data, field=FIELD_Q, *, _raw=False):
         if _raw:
@@ -107,7 +107,7 @@ class Matrix:
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         if self.field == FIELD_Q:
-            out = _matmul_rational(self.data, other.data, other.cols)
+            out = _matmul_rational(self.data, other)
             return Matrix(self.rows, other.cols, out, self.field, _raw=True)
         # Row-times-matrix over the nonzero entries only: out_row += a · b_row.
         zero = field_zero(self.field)
@@ -123,8 +123,32 @@ class Matrix:
         return Matrix(self.rows, other.cols, tuple(out), self.field, _raw=True)
 
     def transpose(self):
-        return Matrix(self.cols, self.rows, tuple(zip(*self.data)) if self.data else
-                      tuple(() for _ in range(self.cols)), self.field, _raw=True)
+        # formed once: a basis or block is transposed by many products
+        try:
+            return self._transpose
+        except AttributeError:
+            value = Matrix(self.cols, self.rows, tuple(zip(*self.data)) if self.data else
+                           tuple(() for _ in range(self.cols)), self.field, _raw=True)
+            object.__setattr__(self, "_transpose", value)
+            return value
+
+    def _integer_form(self):
+        """``(D, rows)`` over ℚ: D is the lcm of the denominators and each
+        row lists ``(j, D·x)`` for its nonzero entries x.  Formed once, on
+        the first product with this matrix as the right operand."""
+        try:
+            return self._integer
+        except AttributeError:
+            den = lcm(*[x.denominator for row in self.data for x in row if x])
+            if den == 1:
+                rows = tuple([(j, x.numerator) for j, x in enumerate(row) if x]
+                             for row in self.data)
+            else:
+                rows = tuple([(j, x.numerator * (den // x.denominator))
+                              for j, x in enumerate(row) if x] for row in self.data)
+            value = (den, rows)
+            object.__setattr__(self, "_integer", value)
+            return value
 
     def apply(self, vector):
         """Apply to a coordinate tuple (column-vector convention)."""
@@ -186,19 +210,15 @@ class Matrix:
             raise DimensionMismatch(f"{self.rows}x{self.cols} vs {other.rows}x{other.cols}")
 
 
-def _matmul_rational(a_rows, b_rows, ncols):
-    """Rows of A·B over ℚ, fraction-free: B is scaled to integers by the lcm
-    of its denominators, each row of A by the lcm of that row's, and the
-    products are summed as integers over the nonzero entries only.  One
-    ``Fraction`` is built per nonzero output entry; a row of A whose only
-    term is a 1 copies the row of B."""
+def _matmul_rational(a_rows, b: Matrix):
+    """Rows of A·B over ℚ, fraction-free: B's integer form is scaled by the
+    lcm of its denominators (see ``Matrix._integer_form``), each row of A
+    by the lcm of that row's, and the products are summed as integers over
+    the nonzero entries only.  One ``Fraction`` is built per nonzero output
+    entry; a row of A whose only term is a 1 copies the row of B."""
+    ncols, b_rows = b.cols, b.data
     zero_row = (Q_ZERO,) * ncols
-    b_den = lcm(*[b.denominator for brow in b_rows for b in brow if b])
-    if b_den == 1:
-        sparse = [[(j, b.numerator) for j, b in enumerate(brow) if b] for brow in b_rows]
-    else:
-        sparse = [[(j, b.numerator * (b_den // b.denominator)) for j, b in enumerate(brow) if b]
-                  for brow in b_rows]
+    b_den, sparse = b._integer_form()
     out = []
     for row in a_rows:
         terms = [(a, bnz, brow) for a, bnz, brow in zip(row, sparse, b_rows) if a and bnz]
@@ -212,8 +232,8 @@ def _matmul_rational(a_rows, b_rows, ncols):
         acc = [0] * ncols
         for a, bnz, _ in terms:
             c = a.numerator if a_den == 1 else a.numerator * (a_den // a.denominator)
-            for j, b in bnz:
-                acc[j] += c * b
+            for j, y in bnz:
+                acc[j] += c * y
         den = a_den * b_den
         if den == 1:
             out.append(tuple([Fraction(x) if x else Q_ZERO for x in acc]))
@@ -359,7 +379,8 @@ class Subspace:
     def conjugate(self) -> "Subspace":
         if self.field == FIELD_Q:
             return self
-        return Subspace(self.ambient_dim, self.basis.conjugate(), FIELD_QI)
+        # conjugation fixes 0 and 1, so the conjugate of an RREF is an RREF
+        return Subspace(self.ambient_dim, self.basis.conjugate(), FIELD_QI, _canonical=True)
 
     def _check_compatible(self, other):
         if self.ambient_dim != other.ambient_dim:

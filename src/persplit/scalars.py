@@ -155,11 +155,14 @@ MAX_DIGITS = 4300   # per numerator or denominator (Python's default int-string 
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse the canonical string form ``"a/b"`` (``"a"`` when b = 1) that
-    ``format_rational`` writes.  Decimals and exponents are refused, so a
-    short string cannot stand for a huge number, and ``"0.5"`` is not
-    silently read as 1/2; a numerator or denominator of more than
-    ``MAX_DIGITS`` digits is refused before any integer is built."""
+    """Parse ``"a/b"`` or ``"a"``: an optional minus sign, digits, and an
+    optional ``/`` and digits.  ``format_rational`` writes the canonical
+    form (lowest terms, b > 0, ``"a"`` when b = 1), but any such string is
+    read as its reduced value: ``"2/4"`` is 1/2, ``"-0"`` is 0, ``"01"``
+    and ``"1/1"`` are 1.  Decimals and exponents are refused, so a short
+    string cannot stand for a huge number, and ``"0.5"`` is not silently
+    read as 1/2; a numerator or denominator of more than ``MAX_DIGITS``
+    digits is refused before any integer is built."""
     match = _RATIONAL.fullmatch(text) if isinstance(text, str) else None
     if not match:
         raise ValueError(f"bad rational {text!r}: expected digits or digits/digits")

@@ -1,14 +1,18 @@
+import itertools
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from persplit.corpus import GeneratorProfile, quadric_cone, random_instance
 from persplit.errors import ParseError
-from persplit.fileformat import (FORMAT_NAME, FORMAT_VERSION, instance_hash,
-                                 load, make_report, parse, parse_instance,
-                                 save, serialize, serialize_instance)
+from persplit.fileformat import (FORMAT_NAME, FORMAT_VERSION, canonical_text,
+                                 instance_hash, load, make_report, parse,
+                                 parse_instance, save, serialize, serialize_instance)
 from persplit.graded import GradedMap
 from persplit.linalg import Matrix
+from persplit.scalars import Gaussian
 
 
 FULL_PROFILE = GeneratorProfile(with_hodge=True, with_pairing=True)
@@ -81,6 +85,88 @@ def test_parse_error_pointers_locate_bad_entries():
     with pytest.raises(ParseError) as exc:
         parse_instance(doc)
     assert exc.value.pointer == "/eta/0/matrix/0/0"
+
+
+def test_parse_error_names_the_first_of_repeated_bad_entries():
+    # each distinct entry string is parsed once per file; a bad one is
+    # still reported where it first occurs, in the order of the document
+    doc = serialize_instance(quadric_cone(1).instance)
+    doc["eta"][1]["matrix"][1][0] = "1/0"
+    doc["filtration"][3]["basis"][1][2] = "1/0"
+    doc["filtration"][3]["basis"][0][1] = "0"       # parsed before, and good
+    doc["filtration"][4]["basis"][0][0] = "1/0"
+    with pytest.raises(ParseError) as exc:
+        parse_instance(doc)
+    assert exc.value.pointer == "/filtration/3/basis/1/2"
+    assert "bad rational '1/0'" in str(exc.value)
+
+
+def _respelled(text, ones):
+    """A spelling of the rational ``text`` that is not the canonical one."""
+    value = Fraction(text)
+    if value == 0:
+        return "-0"
+    if value == 1:
+        return next(ones)
+    if value.denominator == 1:
+        return f"{text}/1"
+    return f"{2 * value.numerator}/{2 * value.denominator}"
+
+
+def test_hash_is_the_hash_of_the_canonical_rewrite():
+    # non-reduced entries, a basis that is not in echelon form and compact
+    # whitespace all read as the instance they stand for, and hash as it
+    inst = quadric_cone(Fraction(1, 2)).instance
+    doc = serialize_instance(inst)
+    step = doc["filtration"][3]                       # two rows in degree 4
+    rows = [[Fraction(x) for x in row] for row in step["basis"]]
+    mixed = [rows[1], [a + b for a, b in zip(rows[0], rows[1])]]
+    assert mixed != rows
+    step["basis"] = [[str(x) for x in row] for row in mixed]
+    ones = itertools.cycle(("01", "1/1"))
+    seen = set()
+
+    def respell(entry):
+        if isinstance(entry, dict):
+            return {k: respell(v) for k, v in entry.items()}
+        seen.add(entry)
+        return _respelled(entry, ones)
+
+    records = (doc["filtration"] + doc["hodge"]
+               + doc["eta"] + doc["pairing"]["blocks"])
+    for rec in records:
+        key = "matrix" if "matrix" in rec else "basis"
+        rec[key] = [[respell(x) for x in row] for row in rec[key]]
+    assert {"0", "1", "-1", "1/2"} <= seen
+    text = json.dumps(doc, separators=(",", ":"))
+    assert all(form in text for form in ('"2/4"', '"-0"', '"01"', '"1/1"', '"-1/1"'))
+
+    parsed = parse(text)
+    assert serialize(parsed) == serialize(inst)
+    assert instance_hash(parsed) == instance_hash(inst)
+    # a string parsed over Q is parsed again over Q(i), not shared
+    assert all(type(x) is Gaussian for sub in parsed.hodge.pieces.values()
+               for row in sub.basis.data for x in row)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=25)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+@example({})
+@example([])
+@example({"a": [], "b": {}, "c": [[]], "d": [{}]})
+@example(["say \"hi\"", "back\\slash", {"\"": "'"}])
+@example(["\x00\x1f\x7f", "tab\tnew\nline\r", "\u2028\u2029"])
+@example({"ключ": ["ü", "中文", "𝔽", "é"], "": None, "z": [True, False, 0, -12]})
+@example([["1", "-2/3"], ["0", "0"]])
+def test_canonical_text_matches_json_dumps(value):
+    want = json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    assert canonical_text(value) == want
 
 
 def test_parse_rejects_duplicate_and_unknown_degrees():

@@ -228,6 +228,10 @@ def test_conjugation_distributes_over_lattice():
     assert a.conjugate().conjugate() == a
     assert a.sum(b).conjugate() == a.conjugate().sum(b.conjugate())
     assert a.intersect(b).conjugate() == a.conjugate().intersect(b.conjugate())
+    # the conjugate of an RREF basis is already the RREF of its conjugate
+    for s in (a, b, a.sum(b), a.intersect(b), Subspace.span([[2, 1 + i, 0], [1, 0, i]], 3,
+                                                             FIELD_QI)):
+        assert s.conjugate().basis == rref(s.basis.conjugate())
 
 
 def test_complexify_preserves_dimension():
@@ -300,10 +304,18 @@ def test_matmul_matches_dense_triple_loop(pair):
     a, b = pair
     before = ([list(r) for r in a.data], [list(r) for r in b.data])
     got = a @ b
+    # each operand is used again: the second products read the integer
+    # form and the transposes that the first ones cached
+    again = a @ b
+    flipped = b.transpose() @ a.transpose()
+    flipped_again = b.transpose() @ a.transpose()
     assert ([list(r) for r in a.data], [list(r) for r in b.data]) == before, \
         "matmul mutated an operand"
     want = naive_matmul(a, b)
     assert got == want
+    assert again == want
+    assert flipped == flipped_again == naive_matmul(b.transpose(), a.transpose())
+    assert flipped.transpose() == want
     assert (got.rows, got.cols, got.field) == (a.rows, b.cols, a.field)
     # the zero entries are the field's own zero, not a stand-in
     assert all(type(x) is type(field_zero(a.field)) for row in got.data for x in row)
