@@ -1,48 +1,62 @@
 """Row-reduction kernel: the reduced row echelon form (RREF) of a list of rows.
 
 The RREF of a row space is unique, so it doubles as the canonical form
-of every subspace in the engine.  ``rref_rows`` takes one of three paths:
+of every subspace in the engine.  Over ℚ the kernel works on integer
+rows: a ℚ matrix stores each row as integers over one denominator, and
+scaling a row does not change the row space, so ``rref_rows`` reads the
+numerators alone.  It returns each RREF row as the primitive integer row
+(coprime entries) with a positive pivot entry; dividing by that entry
+gives the row of the rational RREF.  ``rref_rows`` takes one of three
+paths:
 
-* rows that already form an RREF (zero rows aside) come back unchanged,
-  after one pass that checks the echelon shape;
-* rows over ℚ are cleared of denominators and reduced with integer
-  cross-multiplication, each new row divided by its content (the gcd of
-  its entries), so no ``Fraction`` is built until the result is
-  converted back (Bareiss, *Math. Comp.* 22, 1968; Cohen, GTM 138, §2.2);
+* rows that already have that form (zero rows aside) come back
+  unchanged, after one pass that checks the echelon shape: leads strictly
+  increase, every pivot column is zero outside its own row, and each
+  pivot entry is positive on a primitive row (1, over ℚ(i));
+* integer rows are made primitive and reduced by Gauss–Jordan with
+  cross-multiplication: at each pivot, every other row r is replaced by
+  (h/g)·r − (e/g)·lead_row, where h is the pivot entry, e the entry of r
+  in the pivot column and g = gcd(h, e), and the new row is divided by
+  its content (the gcd of its entries).  No ``Fraction`` is built
+  (Cohen, GTM 138, §2.2).  This is not Bareiss's elimination
+  (*Math. Comp.* 22, 1968), whose exact division by the previous pivot
+  bounds the entries without a gcd per row; that remains open under
+  "A kernel that scales" in ROADMAP.md;
 * any other exact field (ℚ(i)) runs plain Gauss–Jordan elimination.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import compress, count
-from math import gcd, lcm
-from operator import methodcaller
+from math import gcd
 
 BACKEND = "python"
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-_ratio = methodcaller("as_integer_ratio")
 
 
 def rref_rows(rows, ncols):
     """Reduced row echelon form of ``rows``, zero rows dropped.
 
-    Returns ``(reduced_rows, pivot_columns)``; the rows are tuples and,
-    over ℚ, their entries are ``Fraction``s unless the input was already
-    reduced.  The input is not mutated.
+    Returns ``(reduced_rows, pivot_columns)`` with the rows as tuples.
+    Rows of ``int``s (a ℚ matrix's numerators) give primitive integer rows
+    whose pivot entries are positive; rows over another exact field give
+    the RREF itself, with 1 at each pivot.  The input is not mutated.
     """
     nonzero, leads = [], []
-    reduced = True       # so far: leads strictly increase, each lead entry is 1
     for row in rows:
         lead = next(compress(count(), row), -1)    # first nonzero column
-        if lead < 0:
-            continue
-        if reduced and (leads and lead <= leads[-1] or row[lead] != 1):
-            reduced = False
-        nonzero.append(row)
-        leads.append(lead)
+        if lead >= 0:
+            nonzero.append(row)
+            leads.append(lead)
+    if not nonzero:
+        return [], []
+    integer = type(nonzero[0][leads[0]]) is int
+    reduced = all(a < b for a, b in zip(leads, leads[1:]))
+    if reduced:
+        if integer:
+            reduced = all(row[lead] > 0 and gcd(*row) == 1
+                          for row, lead in zip(nonzero, leads))
+        else:
+            reduced = all(row[lead] == 1 for row, lead in zip(nonzero, leads))
     # Earlier rows' lead columns lie before a row's own lead, where it is
     # zero; it must also vanish in every later row's lead column.
     for i in range(len(nonzero) - 1 if reduced else 0):
@@ -51,32 +65,20 @@ def rref_rows(rows, ncols):
             break
     if reduced:
         return [tuple(row) for row in nonzero], leads
-    work = _integer_rows(nonzero)
-    if work is None:
-        return _rref_field(nonzero, ncols)
-    return _rref_integer(work, ncols)
+    if integer:
+        return _rref_integer(nonzero, ncols)
+    return _rref_field(nonzero, ncols)
 
 
-def _integer_rows(rows):
-    """Each rational row scaled to a primitive integer row (coprime
-    entries), or ``None`` if some entry is not rational."""
-    work = []
-    try:
-        for row in rows:
-            ratios = list(map(_ratio, row))
-            nums, dens = zip(*ratios)
-            den = lcm(*dens)
-            ints = list(nums) if den == 1 else [n * (den // d) for n, d in ratios]
-            content = gcd(*ints)
-            work.append([x // content for x in ints] if content != 1 else ints)
-    except AttributeError:
-        return None
-    return work
+def _primitive(row):
+    content = gcd(*row)
+    return list(row) if content == 1 else [x // content for x in row]
 
 
-def _rref_integer(work, ncols):
-    """Fraction-free Gauss–Jordan over ℤ on primitive integer rows, which
-    it reduces in place; the result is converted back to ``Fraction``s."""
+def _rref_integer(rows, ncols):
+    """Fraction-free Gauss–Jordan over ℤ on nonzero integer rows, each made
+    primitive first; every updated row is divided by its content."""
+    work = [_primitive(row) for row in rows]
     nrows = len(work)
     pivots = []
     lead = 0
@@ -103,13 +105,8 @@ def _rref_integer(work, ncols):
         lead += 1
         if lead == nrows:
             break
-    out = []
-    for row, col in zip(work, pivots):
-        head = row[col]
-        fracs = [Fraction(x, head) if x else _ZERO for x in row]
-        fracs[col] = _ONE
-        out.append(tuple(fracs))
-    return out, pivots
+    return [tuple(row) if row[col] > 0 else tuple([-x for x in row])
+            for row, col in zip(work, pivots)], pivots
 
 
 def _rref_field(rows, ncols):

@@ -193,7 +193,8 @@ def cmd_weight_filtration(args):
     if mat.rows != mat.cols:
         raise InputError("operator matrix must be square")
     steps = weight_filtration(mat, args.center)
-    out = {str(i): [[format_rational(x) for x in row] for row in sub.basis.data]
+    strings = {}
+    out = {str(i): fileformat.matrix_record(sub.basis, strings)
            for i, sub in sorted(steps.items())}
     if args.json:
         _print_json({"command": "weight-filtration", "engine_version": __version__,

@@ -161,11 +161,11 @@ def split_model_pairing(inst: PerverseLefschetzInstance, cells) -> IntersectionP
     the same string, with value 1."""
     n = inst.center
     space = inst.space
-    blocks = {d: [[Rat(0)] * space.dim(2 * n - d) for _ in range(space.dim(d))]
+    blocks = {d: [[0] * space.dim(2 * n - d) for _ in range(space.dim(d))]
               for d in space.degrees}
     position = {(sid, j): off for (sid, _, j, _, _, off) in cells}
     for (sid, i, j, deg, idx, off) in cells:
-        blocks[deg][off][position[(sid, i - j)]] = Rat(1)
+        blocks[deg][off][position[(sid, i - j)]] = 1
     return IntersectionPairing(
         n, space, {d: Matrix.from_rows(rows, space.dim(2 * n - d)) if rows
                    else Matrix.zero(0, space.dim(2 * n - d))

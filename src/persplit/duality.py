@@ -16,7 +16,6 @@ from .graded import GradedMap, GradedSpace, memoized
 from .hodge import HodgeBigrading, is_shs, pairing_respects_types
 from .instance import PerverseLefschetzInstance
 from .linalg import Matrix, Subspace, kernel
-from .scalars import FIELD_Q
 
 
 class IntersectionPairing:
@@ -252,7 +251,7 @@ def projector(inst: PerverseLefschetzInstance, pairing: IntersectionPairing,
         raise InputError("target and complement do not decompose the space")
     basis = target.basis.stack(complement.basis)
     coords = basis.transpose().inverse()
-    proj_coords = Matrix(target.dim, n, coords.data[: target.dim], FIELD_Q, _raw=True)
+    proj_coords = coords._take(range(target.dim))
     p_mat = target.basis.transpose() @ proj_coords
     idempotent = (p_mat @ p_mat) == p_mat
     types = _tensor_types(inst, pairing, p_mat, d) if big is not None else ()
@@ -269,9 +268,7 @@ def _pairing_complement(pairing, d, g_k, target, partner) -> Subspace:
     reduced, pivots = m.rref()
     if reduced.rows < target.dim:
         raise InputError("induced pairing is degenerate on the target")
-    sel = Matrix(len(pivots), partner.dim,
-                 tuple(tuple(1 if j == c else 0 for j in range(partner.dim))
-                       for c in pivots))
+    sel = Matrix.identity(partner.dim)._take(pivots)
     duals = sel @ partner.basis  # rows s_c in ambient coordinates of V^{2n−d}
     conditions = duals @ pairing.block(d).transpose()
     return g_k.intersect(kernel(conditions))

@@ -18,7 +18,7 @@ from .graded import Filtration, GradedMap, GradedSpace
 from .hodge import HodgeBigrading
 from .instance import PerverseLefschetzInstance
 from .linalg import Matrix, Subspace
-from .scalars import FIELD_Q, FIELD_QI, format_scalar, parse_scalar
+from .scalars import FIELD_Q, FIELD_QI, format_ratio, format_scalar, parse_scalar
 from .version import __version__
 
 FORMAT_NAME = "perverse-lefschetz-instance"
@@ -29,15 +29,34 @@ FORMAT_VERSION = 1
 # serialization
 
 
-def _matrix_record(m: Matrix):
-    return [[format_scalar(x) for x in row] for row in m.data]
+def matrix_record(m: Matrix, strings: dict):
+    """The entry strings of ``m``, row by row.  Over ℚ they are formatted
+    from the integer rows: ``strings`` maps a denominator q to the strings
+    of the n/q formatted so far, keyed by n, so a document that shares one
+    dict formats each distinct (n, q) once."""
+    if m.field != FIELD_Q:
+        return [[format_scalar(x) for x in row] for row in m.data]
+    record = []
+    for nums, q in m.integer_rows():
+        texts = strings.get(q)
+        if texts is None:
+            texts = strings[q] = {}
+        row = []
+        for n in nums:
+            text = texts.get(n)
+            if text is None:
+                text = texts[n] = format_ratio(n, q)
+            row.append(text)
+        record.append(row)
+    return record
 
 
-def _blocks_record(blocks: dict):
-    return [{"d": d, "matrix": _matrix_record(blk)} for d, blk in sorted(blocks.items())]
+def _blocks_record(blocks: dict, strings: dict):
+    return [{"d": d, "matrix": matrix_record(blk, strings)} for d, blk in sorted(blocks.items())]
 
 
 def serialize_instance(inst: PerverseLefschetzInstance) -> dict:
+    strings = {}
     doc = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
@@ -49,22 +68,22 @@ def serialize_instance(inst: PerverseLefschetzInstance) -> dict:
             for d in inst.space.degrees
         ],
         "filtration": [
-            {"d": d, "i": i, "basis": _matrix_record(sub.basis)}
+            {"d": d, "i": i, "basis": matrix_record(sub.basis, strings)}
             for (d, i), sub in sorted(inst.filtration.steps.items())
         ],
-        "eta": _blocks_record(inst.eta.blocks),
+        "eta": _blocks_record(inst.eta.blocks, strings),
     }
     if inst.hodge is not None:
         doc["hodge"] = [
-            {"d": d, "p": p, "q": q, "basis": _matrix_record(sub.basis)}
+            {"d": d, "p": p, "q": q, "basis": matrix_record(sub.basis, strings)}
             for (d, p, q), sub in sorted(inst.hodge.pieces.items())
         ]
     if inst.pairing is not None:
         doc["pairing"] = {"n": inst.pairing.center,
-                          "blocks": _blocks_record(inst.pairing.blocks)}
+                          "blocks": _blocks_record(inst.pairing.blocks, strings)}
     if inst.groups is not None:
         doc["groups"] = [
-            {"name": name, "generators": [_blocks_record(gen.blocks) for gen in gens]}
+            {"name": name, "generators": [_blocks_record(gen.blocks, strings) for gen in gens]}
             for name, gens in sorted(inst.groups.items())
         ]
     return doc
@@ -147,7 +166,8 @@ def _get(obj, key, pointer, kind=None):
 def _parse_matrix(rows, cols, obj, pointer, scalars, field=FIELD_Q):
     """The ``rows × cols`` matrix of the list ``obj``.  ``scalars`` maps each
     entry string already parsed in this file, over ``field``, to its
-    value, so each distinct string is parsed once."""
+    value, so each distinct string is parsed once; over ℚ the value is its
+    (numerator, denominator) pair, from which the integer rows are built."""
     _expect(isinstance(obj, list) and len(obj) == rows,
             f"expected {rows} rows", pointer)
     data = []
@@ -162,11 +182,15 @@ def _parse_matrix(rows, cols, obj, pointer, scalars, field=FIELD_Q):
                     value = parse_scalar(entry, field)
                 except ValueError as exc:
                     raise ParseError(str(exc), f"{pointer}/{r}/{c}") from None
+                if field == FIELD_Q:
+                    value = value.as_integer_ratio()
                 if type(entry) is str:
                     scalars[entry] = value
             out.append(value)
-        data.append(tuple(out))
-    return Matrix(rows, cols, tuple(data), field, _raw=True)
+        data.append(out)
+    if field == FIELD_Q:
+        return Matrix.from_ratios(rows, cols, data)
+    return Matrix(rows, cols, tuple(map(tuple, data)), field, _raw=True)
 
 
 def _parse_blocks(records, pointer, noun, dims, shape, scalars):

@@ -28,6 +28,7 @@ back on the pieces themselves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 from .errors import (EngineDefect, GroupClosureBoundExceeded, HypothesisFailure,
                      InputError, PreconditionFailure)
@@ -210,8 +211,8 @@ def is_shs(sub: Subspace, bigrading: HodgeBigrading, d: int) -> bool:
     if basis.field == FIELD_QI or any(op.field == FIELD_QI for op in ops):
         basis, ops = basis.complexify(), [op.complexify() for op in ops]
     # one product decides op·S ⊆ S for every operator at once
-    images = tuple(row for op in ops for row in (basis @ op.transpose()).data)
-    return _spans(basis, _leads(basis.data), images)
+    images = reduce(Matrix.stack, [basis @ op.transpose() for op in ops])
+    return _spans(basis, _leads(basis), images)
 
 
 def is_hs_map(f: GradedMap, a: int, src: HodgeBigrading, dst: HodgeBigrading):
@@ -407,4 +408,4 @@ def group_invariants(generators, space: GradedSpace, bigrading: HodgeBigrading |
 
 
 def _freeze(space, gm: GradedMap):
-    return tuple((d, gm.block(d).data) for d in space.degrees)
+    return tuple((d, gm.block(d)) for d in space.degrees)

@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import reduce
 from weakref import WeakKeyDictionary
 
 from .errors import InputError, VerificationFailure
 from .graded import Filtration, GradedMap, GradedPieces, GradedSpace, memoized
 from .instance import PerverseLefschetzInstance
 from .linalg import Matrix, Subspace, image_of, kernel
-from .scalars import FIELD_Q, Rat
+from .scalars import FIELD_Q
 
 
 @dataclass(frozen=True)
@@ -196,9 +197,9 @@ def build_split_model(spec: StringSpec) -> tuple[PerverseLefschetzInstance, Spli
     for (sid, i, j, deg, idx, off) in cells:
         if j == i:
             continue
-        blk = eta_blocks.setdefault(deg, [[Rat(0)] * dims[deg]
+        blk = eta_blocks.setdefault(deg, [[0] * dims[deg]
                                           for _ in range(dims.get(deg + 2, 0))])
-        blk[position[(sid, j + 1)]][off] = Rat(1)
+        blk[position[(sid, j + 1)]][off] = 1
     eta = GradedMap(2, {d: Matrix.from_rows(rows, dims[d])
                         for d, rows in eta_blocks.items()}, space)
     steps = {}
@@ -209,8 +210,8 @@ def build_split_model(spec: StringSpec) -> tuple[PerverseLefschetzInstance, Spli
             rows = []
             for (*_, dg, idx, off) in cells:
                 if dg == deg and idx <= cutoff:
-                    row = [Rat(0)] * n
-                    row[off] = Rat(1)
+                    row = [0] * n
+                    row[off] = 1
                     rows.append(row)
             steps[(deg, cutoff)] = Subspace.span(rows, n)
     filtr = Filtration(space, steps)
@@ -221,8 +222,8 @@ def build_split_model(spec: StringSpec) -> tuple[PerverseLefschetzInstance, Spli
     embedded, summands = {}, {}
     for (sid, i, j, deg, idx, off) in cells:
         n = dims[deg]
-        row = [Rat(0)] * n
-        row[off] = Rat(1)
+        row = [0] * n
+        row[off] = 1
         if j == 0:
             e_slot = embedded.setdefault((i, deg), [])
             e_slot.append(row)
@@ -245,19 +246,15 @@ def random_unipotent_twist(inst: PerverseLefschetzInstance, seed: int, bound: in
         n = inst.space.dim(d)
         slots = sorted(i for (dd, i) in gp.slots if dd == d)
         # Adapted basis: graded-piece sections, ascending filtration index.
-        rows, owners = [], []
-        for i in slots:
-            q = gp.quotient(d, i)
-            for rep in q.section.data:
-                rows.append(rep)
-                owners.append(i)
-        basis = Matrix(n, n, tuple(rows), FIELD_Q, _raw=True)
-        coeff = [[Rat(0)] * n for _ in range(n)]
+        sections = [gp.quotient(d, i).section for i in slots]
+        owners = [i for i, section in zip(slots, sections) for _ in range(section.rows)]
+        basis = reduce(Matrix.stack, sections, Matrix.zero(0, n))
+        coeff = [[0] * n for _ in range(n)]
         for a in range(n):
-            coeff[a][a] = Rat(1)
+            coeff[a][a] = 1
             for b in range(n):
                 if owners[b] < owners[a] and bound > 0:
-                    coeff[a][b] = Rat(rng.randint(-bound, bound))
+                    coeff[a][b] = rng.randint(-bound, bound)
         # Row-coordinate action x ↦ x(I+N); convert to column convention.
         m = Matrix.from_rows(coeff, n)
         a_mat = basis.transpose()

@@ -1,38 +1,109 @@
 """Dense exact matrices over Q or Q(i) and the subspace lattice.
 
+A ℚ matrix stores each row as integers over one positive denominator,
+(n_1, …, n_k)/q with gcd(n_1, …, n_k, q) = 1.  Each rational row has
+exactly one such form, so equality and hashing read it directly, and the
+kernel, products and the subspace lattice run on these integers.  The
+``Fraction`` entries of ``Matrix.data`` are built only when something
+reads them: the file format, the CLI and tests.  A ℚ(i) matrix stores
+its ``Gaussian`` entries.
+
 Subspaces are stored by their reduced row-echelon basis, which is the
 canonical form: two subspaces are equal iff their bases are identical.
-Containment is one product on that basis: each basis row is 1 at its own
-pivot and 0 at the others, so B ⊆ A exactly when B[:, pivots(A)] · A = B.
-All operations are pure; values are immutable after construction.
+An RREF row is 1 at its pivot, so in integer form it is the primitive
+integer row over its (positive) pivot entry, which is what the kernel
+returns.  Containment is one product on that basis: each basis row is 1
+at its own pivot and 0 at the others, so B ⊆ A exactly when
+B[:, pivots(A)] · A = B.  All operations are pure; values are immutable
+after construction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from itertools import compress, count
+from math import gcd, lcm
+from operator import add, sub
 
 from ._core import rref_rows
 from .errors import DimensionMismatch, FieldMismatch, InputError
-from .scalars import FIELD_Q, FIELD_QI, Q_ZERO, Gaussian, as_field, field_one, field_zero
+from .scalars import (FIELD_Q, FIELD_QI, GI_ZERO, Q_ZERO, Gaussian, as_field, field_one,
+                      field_zero)
+
+_set = object.__setattr__
+
+
+def _ratio(x):
+    """``(numerator, denominator)`` of a value placed in ℚ."""
+    try:
+        return x.as_integer_ratio()
+    except AttributeError:
+        return as_field(x, FIELD_Q).as_integer_ratio()
+
+
+def _canonical(ints, den):
+    """The row ints/den (den > 0) as ``(numerators, denominator)`` in lowest terms."""
+    g = gcd(den, *ints)
+    if g == 1:
+        return tuple(ints), den
+    return tuple([x // g for x in ints]), den // g
+
+
+def _integer_row(ratios):
+    """The canonical form of a row given as (numerator, denominator) pairs."""
+    den = lcm(*[d for _, d in ratios])
+    return _canonical([n if d == den else n * (den // d) for n, d in ratios], den)
+
+
+def _q_matrix(rows, cols, num, den):
+    """A ℚ matrix from canonical rows: ``num[r]/den[r]``."""
+    m = object.__new__(Matrix)
+    _set(m, "rows", rows)
+    _set(m, "cols", cols)
+    _set(m, "field", FIELD_Q)
+    _set(m, "_num", num)
+    _set(m, "_den", den)
+    return m
+
+
+def _q_pairs(rows, cols, pairs):
+    """A ℚ matrix from canonical ``(numerators, denominator)`` rows."""
+    return _q_matrix(rows, cols, tuple(n for n, _ in pairs), tuple(q for _, q in pairs))
+
+
+def _qi_matrix(rows, cols, data):
+    m = object.__new__(Matrix)
+    _set(m, "rows", rows)
+    _set(m, "cols", cols)
+    _set(m, "field", FIELD_QI)
+    _set(m, "_data", data)
+    return m
 
 
 class Matrix:
-    """Immutable dense matrix; rows of exact field elements."""
+    """Immutable dense matrix; rows of exact field elements.
 
-    __slots__ = ("rows", "cols", "data", "field", "_hash", "_transpose", "_integer")
+    Over ℚ, ``_num[r]`` and ``_den[r]`` hold row r in its canonical integer
+    form; over ℚ(i), ``_data`` holds the ``Gaussian`` rows."""
+
+    __slots__ = ("rows", "cols", "field", "_num", "_den", "_data", "_hash", "_transpose",
+                 "_integer")
 
     def __init__(self, rows, cols, data, field=FIELD_Q, *, _raw=False):
-        if _raw:
-            entries = data
-        else:
-            entries = tuple(tuple(as_field(x, field) for x in row) for row in data)
-            if len(entries) != rows or any(len(r) != cols for r in entries):
+        if not _raw:
+            data = [tuple(row) for row in data]
+            if len(data) != rows or any(len(r) != cols for r in data):
                 raise DimensionMismatch(f"expected {rows}x{cols} entries")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "data", entries)
-        object.__setattr__(self, "field", field)
+        _set(self, "rows", rows)
+        _set(self, "cols", cols)
+        _set(self, "field", field)
+        if field == FIELD_Q:
+            q = Matrix.from_ratios(rows, cols, [[_ratio(x) for x in row] for row in data])
+            _set(self, "_num", q._num)
+            _set(self, "_den", q._den)
+        else:
+            _set(self, "_data", data if _raw else
+                 tuple(tuple(as_field(x, field) for x in row) for row in data))
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -47,59 +118,96 @@ class Matrix:
         return cls(len(data), cols, data, field)
 
     @classmethod
+    def from_ratios(cls, rows, cols, ratios):
+        """The ℚ matrix whose entry (r, c) is n/d for the pair
+        ``ratios[r][c] = (n, d)``, d > 0; shapes are not checked."""
+        return _q_pairs(rows, cols, [_integer_row(row) for row in ratios])
+
+    @classmethod
     def zero(cls, rows, cols, field=FIELD_Q):
-        z = field_zero(field)
-        return cls(rows, cols, tuple(tuple(z for _ in range(cols)) for _ in range(rows)),
-                   field, _raw=True)
+        if field == FIELD_Q:
+            return _q_matrix(rows, cols, ((0,) * cols,) * rows, (1,) * rows)
+        return _qi_matrix(rows, cols, ((GI_ZERO,) * cols,) * rows)
 
     @classmethod
     def identity(cls, n, field=FIELD_Q):
-        z, o = field_zero(field), field_one(field)
-        return cls(n, n, tuple(tuple(o if i == j else z for j in range(n)) for i in range(n)),
-                   field, _raw=True)
+        z, o = (0, 1) if field == FIELD_Q else (field_zero(field), field_one(field))
+        units = tuple(tuple(o if i == j else z for j in range(n)) for i in range(n))
+        if field == FIELD_Q:
+            return _q_matrix(n, n, units, (1,) * n)
+        return _qi_matrix(n, n, units)
+
+    @property
+    def data(self):
+        """The entries as tuples of field elements.  Over ℚ they are
+        ``Fraction``s, built on the first read and kept."""
+        try:
+            return self._data
+        except AttributeError:
+            value = tuple(tuple([Fraction(x, q) if x else Q_ZERO for x in row])
+                          for row, q in zip(self._num, self._den))
+            _set(self, "_data", value)
+            return value
+
+    def integer_rows(self):
+        """Over ℚ, each row as ``(numerators, denominator)``: the entries are
+        n/q, q > 0 and gcd(n_1, …, n_k, q) = 1."""
+        return tuple(zip(self._num, self._den))
+
+    def _key(self):
+        return (self._num, self._den) if self.field == FIELD_Q else self._data
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (self.rows, self.cols, self.field, self.data) == \
-               (other.rows, other.cols, other.field, other.data)
+        return (self.rows, self.cols, self.field) == (other.rows, other.cols, other.field) \
+            and self._key() == other._key()
 
     def __hash__(self):
-        # formed once: a matrix keys memos, and hashing every Fraction is slow
+        # formed once: a matrix keys memos
         try:
             return self._hash
         except AttributeError:
-            value = hash((self.rows, self.cols, self.field, self.data))
-            object.__setattr__(self, "_hash", value)
+            value = hash((self.rows, self.cols, self.field, self._key()))
+            _set(self, "_hash", value)
             return value
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols} over {self.field})"
 
     def __add__(self, other):
-        self._check_same_shape(other)
-        return Matrix(self.rows, self.cols,
-                      tuple(tuple(a + b for a, b in zip(ra, rb))
-                            for ra, rb in zip(self.data, other.data)),
-                      self.field, _raw=True)
+        return self._combine(other, 1)
 
     def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def _combine(self, other, sign):
+        """self + sign·other."""
         self._check_same_shape(other)
-        return Matrix(self.rows, self.cols,
-                      tuple(tuple(a - b for a, b in zip(ra, rb))
-                            for ra, rb in zip(self.data, other.data)),
-                      self.field, _raw=True)
+        if self.field == FIELD_Q:
+            pairs = []
+            for a, p, b, q in zip(self._num, self._den, other._num, other._den):
+                common = lcm(p, q)
+                s, t = common // p, sign * (common // q)
+                pairs.append(_canonical([s * x + t * y for x, y in zip(a, b)], common))
+            return _q_pairs(self.rows, self.cols, pairs)
+        op = add if sign > 0 else sub
+        return _qi_matrix(self.rows, self.cols,
+                          tuple(tuple(map(op, ra, rb)) for ra, rb in zip(self._data, other._data)))
 
     def __neg__(self):
-        return Matrix(self.rows, self.cols,
-                      tuple(tuple(-a for a in row) for row in self.data),
-                      self.field, _raw=True)
+        if self.field == FIELD_Q:
+            return _q_matrix(self.rows, self.cols,
+                             tuple(tuple([-x for x in row]) for row in self._num), self._den)
+        return _qi_matrix(self.rows, self.cols, tuple(tuple(-a for a in row) for row in self._data))
 
     def scale(self, c):
         c = as_field(c, self.field)
-        return Matrix(self.rows, self.cols,
-                      tuple(tuple(c * a for a in row) for row in self.data),
-                      self.field, _raw=True)
+        if self.field == FIELD_Q:
+            cn, cd = c.as_integer_ratio()
+            return _q_pairs(self.rows, self.cols, [_canonical([cn * x for x in row], cd * q)
+                                                   for row, q in zip(self._num, self._den)])
+        return _qi_matrix(self.rows, self.cols, tuple(tuple(c * a for a in row) for row in self._data))
 
     def __matmul__(self, other):
         if self.field != other.field:
@@ -107,47 +215,55 @@ class Matrix:
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         if self.field == FIELD_Q:
-            out = _matmul_rational(self.data, other)
-            return Matrix(self.rows, other.cols, out, self.field, _raw=True)
+            return _q_matrix(self.rows, other.cols, *_matmul_rational(self, other))
         # Row-times-matrix over the nonzero entries only: out_row += a · b_row.
         zero = field_zero(self.field)
-        sparse = [[(j, b) for j, b in enumerate(brow) if b] for brow in other.data]
+        sparse = [[(j, b) for j, b in enumerate(brow) if b] for brow in other._data]
         out = []
-        for row in self.data:
+        for row in self._data:
             acc = [zero] * other.cols
             for a, bnz in zip(row, sparse):
                 if a:
                     for j, b in bnz:
                         acc[j] += a * b
             out.append(tuple(acc))
-        return Matrix(self.rows, other.cols, tuple(out), self.field, _raw=True)
+        return _qi_matrix(self.rows, other.cols, tuple(out))
 
     def transpose(self):
         # formed once: a basis or block is transposed by many products
         try:
             return self._transpose
         except AttributeError:
-            value = Matrix(self.cols, self.rows, tuple(zip(*self.data)) if self.data else
-                           tuple(() for _ in range(self.cols)), self.field, _raw=True)
-            object.__setattr__(self, "_transpose", value)
+            value = self._transposed()
+            _set(self, "_transpose", value)
             return value
 
+    def _transposed(self):
+        if self.field == FIELD_QI:
+            return _qi_matrix(self.cols, self.rows, tuple(zip(*self._data)) if self._data else
+                              ((),) * self.cols)
+        if not self.rows:
+            return _q_matrix(self.cols, 0, ((),) * self.cols, (1,) * self.cols)
+        den = lcm(*self._den)
+        if den == 1:
+            return _q_matrix(self.cols, self.rows, tuple(zip(*self._num)), (1,) * self.cols)
+        columns = zip(*[row if q == den else [x * (den // q) for x in row]
+                        for row, q in zip(self._num, self._den)])
+        return _q_pairs(self.cols, self.rows, [_canonical(col, den) for col in columns])
+
     def _integer_form(self):
-        """``(D, rows)`` over ℚ: D is the lcm of the denominators and each
-        row lists ``(j, D·x)`` for its nonzero entries x.  Formed once, on
+        """``(D, rows)`` over ℚ: D is the lcm of the row denominators and
+        row k lists ``(j, D·x)`` for its nonzero entries x.  Formed once, on
         the first product with this matrix as the right operand."""
         try:
             return self._integer
         except AttributeError:
-            den = lcm(*[x.denominator for row in self.data for x in row if x])
-            if den == 1:
-                rows = tuple([(j, x.numerator) for j, x in enumerate(row) if x]
-                             for row in self.data)
-            else:
-                rows = tuple([(j, x.numerator * (den // x.denominator))
-                              for j, x in enumerate(row) if x] for row in self.data)
-            value = (den, rows)
-            object.__setattr__(self, "_integer", value)
+            den = lcm(*self._den)
+            value = (den, tuple(
+                [(j, x) for j, x in enumerate(row) if x] if q == den else
+                [(j, x * (den // q)) for j, x in enumerate(row) if x]
+                for row, q in zip(self._num, self._den)))
+            _set(self, "_integer", value)
             return value
 
     def apply(self, vector):
@@ -162,46 +278,79 @@ class Matrix:
     def row(self, i):
         return self.data[i]
 
+    def _take(self, indices):
+        """The matrix of the rows at ``indices``."""
+        indices = list(indices)
+        if self.field == FIELD_Q:
+            return _q_matrix(len(indices), self.cols, tuple(self._num[i] for i in indices),
+                             tuple(self._den[i] for i in indices))
+        return _qi_matrix(len(indices), self.cols, tuple(self._data[i] for i in indices))
+
+    def _columns(self, columns):
+        """The matrix of the columns at ``columns``, in that order."""
+        if self.field == FIELD_Q:
+            return _q_pairs(self.rows, len(columns), [_canonical([row[j] for j in columns], q)
+                                                      for row, q in zip(self._num, self._den)])
+        return _qi_matrix(self.rows, len(columns),
+                          tuple(tuple(row[j] for j in columns) for row in self._data))
+
     def stack(self, other):
         if self.cols != other.cols or self.field != other.field:
             raise DimensionMismatch("stack shape mismatch")
-        return Matrix(self.rows + other.rows, self.cols, self.data + other.data,
-                      self.field, _raw=True)
+        if self.field == FIELD_Q:
+            return _q_matrix(self.rows + other.rows, self.cols, self._num + other._num,
+                             self._den + other._den)
+        return _qi_matrix(self.rows + other.rows, self.cols, self._data + other._data)
 
     def rref(self):
-        reduced, pivots = rref_rows(self.data, self.cols)
-        return Matrix(len(reduced), self.cols, tuple(reduced), self.field, _raw=True), tuple(pivots)
+        if self.field == FIELD_Q:
+            reduced, pivots = rref_rows(self._num, self.cols)
+            # a primitive RREF row over its pivot entry is in canonical form
+            m = _q_matrix(len(reduced), self.cols, tuple(reduced),
+                          tuple(row[p] for row, p in zip(reduced, pivots)))
+        else:
+            reduced, pivots = rref_rows(self._data, self.cols)
+            m = _qi_matrix(len(reduced), self.cols, tuple(reduced))
+        return m, tuple(pivots)
 
     def rank(self):
         return self.rref()[0].rows
 
     def is_zero(self):
-        return not any(any(row) for row in self.data)
+        return not any(map(any, _pattern(self)))
 
     def inverse(self):
         if self.rows != self.cols:
             raise DimensionMismatch("inverse of a non-square matrix")
         n = self.rows
-        ident = Matrix.identity(n, self.field)
-        aug = tuple(self.data[i] + ident.data[i] for i in range(n))
+        if self.field == FIELD_Q:
+            # row i of [A | I] scaled by its denominator q_i: [n_i | q_i·e_i]
+            aug = [row + (0,) * i + (q,) + (0,) * (n - i - 1)
+                   for i, (row, q) in enumerate(zip(self._num, self._den))]
+        else:
+            ident = Matrix.identity(n, self.field)._data
+            aug = [row + ident[i] for i, row in enumerate(self._data)]
         reduced, pivots = rref_rows(aug, 2 * n)
         if len(reduced) < n or tuple(pivots) != tuple(range(n)):
             raise InputError("matrix is singular")
-        return Matrix(n, n, tuple(row[n:] for row in reduced), self.field, _raw=True)
+        if self.field == FIELD_Q:
+            # row i is p·e_i on the left, so its right half over p is canonical
+            return _q_matrix(n, n, tuple(row[n:] for row in reduced),
+                             tuple(row[i] for i, row in enumerate(reduced)))
+        return _qi_matrix(n, n, tuple(row[n:] for row in reduced))
 
     def complexify(self):
         if self.field == FIELD_QI:
             return self
-        return Matrix(self.rows, self.cols,
-                      tuple(tuple(Gaussian(a) for a in row) for row in self.data),
-                      FIELD_QI, _raw=True)
+        return _qi_matrix(self.rows, self.cols, tuple(
+            tuple([Gaussian(Fraction(x, q)) if x else GI_ZERO for x in row])
+            for row, q in zip(self._num, self._den)))
 
     def conjugate(self):
         if self.field == FIELD_Q:
             return self
-        return Matrix(self.rows, self.cols,
-                      tuple(tuple(a.conj() for a in row) for row in self.data),
-                      FIELD_QI, _raw=True)
+        return _qi_matrix(self.rows, self.cols,
+                          tuple(tuple(a.conj() for a in row) for row in self._data))
 
     def _check_same_shape(self, other):
         if self.field != other.field:
@@ -210,36 +359,47 @@ class Matrix:
             raise DimensionMismatch(f"{self.rows}x{self.cols} vs {other.rows}x{other.cols}")
 
 
-def _matmul_rational(a_rows, b: Matrix):
-    """Rows of A·B over ℚ, fraction-free: B's integer form is scaled by the
-    lcm of its denominators (see ``Matrix._integer_form``), each row of A
-    by the lcm of that row's, and the products are summed as integers over
-    the nonzero entries only.  One ``Fraction`` is built per nonzero output
-    entry; a row of A whose only term is a 1 copies the row of B."""
-    ncols, b_rows = b.cols, b.data
-    zero_row = (Q_ZERO,) * ncols
+def _pattern(m: Matrix):
+    """Rows with the nonzero entries of ``m`` in place: the numerators over
+    ℚ, the entries over ℚ(i)."""
+    return m._num if m.field == FIELD_Q else m._data
+
+
+def _matmul_rational(a: Matrix, b: Matrix):
+    """Canonical rows ``(numerators, denominators)`` of A·B over ℚ, in
+    integers: row i of A is n_i/q_i and B is M/D in its common-denominator
+    form (see ``Matrix._integer_form``), so row i of A·B is n_i·M/(q_i·D),
+    summed over the nonzero entries only and reduced by one gcd.  A row
+    of A whose only term is a 1 copies the row of B."""
+    ncols = b.cols
     b_den, sparse = b._integer_form()
-    out = []
-    for row in a_rows:
-        terms = [(a, bnz, brow) for a, bnz, brow in zip(row, sparse, b_rows) if a and bnz]
+    b_num, b_dens = b._num, b._den
+    zero_row = (0,) * ncols
+    num, den = [], []
+    for row, q in zip(a._num, a._den):
+        terms = [(x, bnz, k) for x, bnz, k in zip(row, sparse, count()) if x and bnz]
         if not terms:
-            out.append(zero_row)
+            num.append(zero_row)
+            den.append(1)
             continue
-        if len(terms) == 1 and terms[0][0] == 1:
-            out.append(terms[0][2])
+        if len(terms) == 1 and terms[0][0] == q:
+            k = terms[0][2]
+            num.append(b_num[k])
+            den.append(b_dens[k])
             continue
-        a_den = lcm(*[a.denominator for a, _, _ in terms])
         acc = [0] * ncols
-        for a, bnz, _ in terms:
-            c = a.numerator if a_den == 1 else a.numerator * (a_den // a.denominator)
+        for x, bnz, _ in terms:
             for j, y in bnz:
-                acc[j] += c * y
-        den = a_den * b_den
-        if den == 1:
-            out.append(tuple([Fraction(x) if x else Q_ZERO for x in acc]))
+                acc[j] += x * y
+        d = q * b_den
+        g = gcd(d, *acc) if d != 1 else 1
+        if g == 1:
+            num.append(tuple(acc))
+            den.append(d)
         else:
-            out.append(tuple([Fraction(x, den) if x else Q_ZERO for x in acc]))
-    return tuple(out)
+            num.append(tuple([v // g for v in acc]))
+            den.append(d // g)
+    return tuple(num), tuple(den)
 
 
 def rref(m: Matrix) -> Matrix:
@@ -264,9 +424,9 @@ class Subspace:
             raise FieldMismatch(f"{basis.field} basis in {field} subspace")
         if not _canonical:
             basis = rref(basis)
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "field", field)
+        _set(self, "ambient_dim", ambient_dim)
+        _set(self, "basis", basis)
+        _set(self, "field", field)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -292,8 +452,7 @@ class Subspace:
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        return (self.ambient_dim, self.field, self.basis.data) == \
-               (other.ambient_dim, other.field, other.basis.data)
+        return self.ambient_dim == other.ambient_dim and self.basis == other.basis
 
     def __hash__(self):
         return hash((self.ambient_dim, self.field, self.basis))
@@ -308,19 +467,20 @@ class Subspace:
         return self.dim == self.ambient_dim
 
     def contains_vector(self, vector):
-        vec = tuple(as_field(x, self.field) for x in vector)
-        if len(vec) != self.ambient_dim:
+        vector = tuple(vector)
+        if len(vector) != self.ambient_dim:
             raise DimensionMismatch("vector/ambient mismatch")
-        return _spans(self.basis, _leads(self.basis.data), (vec,))
+        vec = Matrix(1, self.ambient_dim, (vector,), self.field)
+        return _spans(self.basis, _leads(self.basis), vec)
 
     def contains(self, other: "Subspace") -> bool:
         self._check_compatible(other)
-        rows = other.basis.data
-        if not rows or self.is_full():
+        rows = other.basis
+        if not rows.rows or self.is_full():
             return True
-        if len(rows) > self.dim:
+        if rows.rows > self.dim:
             return False
-        leads = _leads(self.basis.data)
+        leads = _leads(self.basis)
         # a vector of the span leads at one of the basis's pivots
         if not set(_leads(rows)) <= set(leads):
             return False
@@ -339,10 +499,8 @@ class Subspace:
         # x·A = y·B exactly when (x, −y) is in the kernel of [Aᵗ | Bᵗ], so
         # the x-parts of that kernel, times A, span the intersection.
         a, b = self.basis, other.basis
-        combined = _hstack(a.transpose(), b.transpose())
-        ker = kernel(combined)
-        rows = [ker_row[: a.rows] for ker_row in ker.basis.data]
-        coeff = Matrix(len(rows), a.rows, tuple(rows), self.field, _raw=True)
+        ker = kernel(_hstack(a.transpose(), b.transpose()))
+        coeff = ker.basis._columns(range(a.rows))
         return Subspace(self.ambient_dim, coeff @ a, self.field)
 
     def cut_by(self, rows: Matrix) -> "Subspace":
@@ -392,24 +550,30 @@ class Subspace:
 def _hstack(a: Matrix, b: Matrix) -> Matrix:
     if a.rows != b.rows or a.field != b.field:
         raise DimensionMismatch("hstack shape mismatch")
-    return Matrix(a.rows, a.cols + b.cols,
-                  tuple(ra + rb for ra, rb in zip(a.data, b.data)), a.field, _raw=True)
+    cols = a.cols + b.cols
+    if a.field == FIELD_QI:
+        return _qi_matrix(a.rows, cols, tuple(ra + rb for ra, rb in zip(a._data, b._data)))
+    pairs = []
+    for ra, p, rb, q in zip(a._num, a._den, b._num, b._den):
+        common = lcm(p, q)
+        s, t = common // p, common // q
+        pairs.append(_canonical([x * s for x in ra] + [x * t for x in rb], common))
+    return _q_pairs(a.rows, cols, pairs)
 
 
-def _leads(rows):
-    """Column of the first nonzero entry of each (nonzero) row."""
-    return [next(j for j, x in enumerate(row) if x) for row in rows]
+def _leads(m: Matrix):
+    """Column of the first nonzero entry of each (nonzero) row of ``m``."""
+    return [next(compress(count(), row)) for row in _pattern(m)]
 
 
-def _spans(basis: Matrix, leads, rows) -> bool:
-    """True iff every row lies in the row span of the RREF ``basis``.
+def _spans(basis: Matrix, leads, rows: Matrix) -> bool:
+    """True iff every row of ``rows`` lies in the row span of the RREF
+    ``basis``, whose pivots are ``leads``.
 
     Each basis row is 1 at its own pivot and 0 at the others, so v is in
     the span exactly when v = Σ_k v[p_k]·basis_k: one product decides all
     rows at once."""
-    coeffs = tuple(tuple(row[p] for p in leads) for row in rows)
-    return (Matrix(len(rows), len(leads), coeffs, basis.field, _raw=True) @ basis).data \
-        == tuple(rows)
+    return rows._columns(leads) @ basis == rows
 
 
 def kernel(m: Matrix) -> Subspace:
@@ -418,15 +582,31 @@ def kernel(m: Matrix) -> Subspace:
     n = m.cols
     pivot_set = set(pivots)
     free = [j for j in range(n) if j not in pivot_set]
-    zero, one = field_zero(m.field), field_one(m.field)
-    rows = []
-    for j in free:
-        vec = [zero] * n
-        vec[j] = one
-        for r, pc in enumerate(pivots):
-            vec[pc] = -reduced.data[r][j]
-        rows.append(tuple(vec))
-    basis = Matrix(len(rows), n, tuple(rows), m.field, _raw=True)
+    if m.field == FIELD_Q:
+        # the vector of free column j is 1 at j and −R_r[j]/p_r at pivot r,
+        # for R_r the primitive RREF row with pivot entry p_r; over the lcm
+        # L of those p_r its numerators are integers
+        heads = list(zip(reduced._num, reduced._den, pivots))
+        pairs = []
+        for j in free:
+            terms = [(row[j], p, pc) for row, p, pc in heads if row[j]]
+            scale = lcm(*[p for _, p, _ in terms])
+            vec = [0] * n
+            vec[j] = scale
+            for x, p, pc in terms:
+                vec[pc] = -x * (scale // p)
+            pairs.append(_canonical(vec, scale))
+        basis = _q_pairs(len(free), n, pairs)
+    else:
+        zero, one = field_zero(m.field), field_one(m.field)
+        rows = []
+        for j in free:
+            vec = [zero] * n
+            vec[j] = one
+            for r, pc in enumerate(pivots):
+                vec[pc] = -reduced._data[r][j]
+            rows.append(tuple(vec))
+        basis = _qi_matrix(len(rows), n, tuple(rows))
     return Subspace(n, basis, m.field)
 
 
@@ -498,48 +678,63 @@ def quotient_map(a: Subspace, b: Subspace) -> QuotientMap:
     if not a.contains(b):
         raise InputError("quotient_map requires b ⊆ a")
     n, field = a.ambient_dim, a.field
+    integer = field == FIELD_Q
     # Extend b's basis greedily by rows of a, then by unit vectors, to a
     # full basis.  Each candidate is reduced against one running echelon
     # of everything accepted so far; it is accepted iff a remainder is left.
-    echelon = list(zip(_leads(b.basis.data), b.basis.data))
+    # Over ℚ the rows are integer rows (scaling keeps the span), cleared
+    # by cross-multiplication; over ℚ(i) each accepted row is scaled to 1
+    # at its pivot.
+    echelon = list(zip(_leads(b.basis), _pattern(b.basis)))
 
     def independent(vec):
         vec = list(vec)
-        for pivot, row in echelon:      # each row vanishes at earlier pivots
+        for pivot, row in echelon:      # each row vanishes before its pivot
             c = vec[pivot]
             if c:
-                for j in range(pivot, n):
-                    vec[j] -= c * row[j]
-        pivot = next((j for j, x in enumerate(vec) if x), None)
+                if integer:
+                    h = row[pivot]
+                    g = gcd(h, c)
+                    h, c = h // g, c // g
+                    vec = [h * x - c * y for x, y in zip(vec, row)]
+                else:
+                    for j in range(pivot, n):
+                        vec[j] -= c * row[j]
+        pivot = next(compress(count(), vec), None)
         if pivot is not None:
-            head = vec[pivot]
-            echelon.append((pivot, tuple(x / head for x in vec)))
+            if integer:
+                content = gcd(*vec)
+                echelon.append((pivot, [x // content for x in vec]))
+            else:
+                head = vec[pivot]
+                echelon.append((pivot, tuple(x / head for x in vec)))
         return pivot is not None
 
-    comp_rows = tuple(row for row in a.basis.data if independent(row))
-    q = len(comp_rows)
-    if all(_is_unit_vector(row) for row in b.basis.data + comp_rows):
+    section = a.basis._take([k for k, row in enumerate(_pattern(a.basis)) if independent(row)])
+    q = section.rows
+    if _unit_rows(b.basis) and _unit_rows(section):
         # Completed by the missing unit vectors, the basis is a permutation
         # matrix P, and (Pᵗ)⁻¹ = P: the coordinate rows are the rows.
-        proj_rows = comp_rows
+        projection = section
     else:
-        extra_rows = []
-        zero, one = field_zero(field), field_one(field)
-        for j in range(n):
+        ident = Matrix.identity(n, field)
+        extra = []
+        for j, unit in enumerate(_pattern(ident)):
             if len(echelon) == n:
                 break
-            unit = tuple(one if k == j else zero for k in range(n))
             if independent(unit):
-                extra_rows.append(unit)
-        full = Matrix(n, n, b.basis.data + comp_rows + tuple(extra_rows), field, _raw=True)
+                extra.append(j)
+        full = b.basis.stack(section).stack(ident._take(extra))
         # Coordinates of a column vector v in the row basis: x = (fullᵗ)⁻¹ v.
-        proj_rows = full.transpose().inverse().data[b.dim: b.dim + q]
-    projection = Matrix(q, n, proj_rows, field, _raw=True)
-    section = Matrix(q, n, comp_rows, field, _raw=True)
+        projection = full.transpose().inverse()._take(range(b.dim, b.dim + q))
     return QuotientMap(a, b, projection, section)
 
 
-def _is_unit_vector(row):
-    """Exactly one nonzero entry, and it is 1."""
-    nonzero = [x for x in row if x]
-    return len(nonzero) == 1 and nonzero[0] == 1
+def _unit_rows(m: Matrix):
+    """Each row has exactly one nonzero entry, and it is 1."""
+    dens = m._den if m.field == FIELD_Q else (1,) * m.rows
+    for row, den in zip(_pattern(m), dens):
+        nonzero = [x for x in row if x]
+        if den != 1 or len(nonzero) != 1 or nonzero[0] != 1:
+            return False
+    return True

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 
 FIELD_Q = "Q"
 FIELD_QI = "Q(i)"
@@ -173,12 +174,18 @@ def parse_rational(text: str) -> Fraction:
                          f"{MAX_DIGITS} per numerator or denominator")
     try:
         return Fraction(int(num), int(den) if den else 1)
-    except ZeroDivisionError as exc:
-        raise ValueError(f"bad rational {text!r}: {exc}") from None
+    except ZeroDivisionError:
+        raise ValueError(f"bad rational {text!r}: zero denominator") from None
 
 
 def format_rational(value: Fraction) -> str:
     return str(value if type(value) is Fraction else Fraction(value))
+
+
+def format_ratio(n: int, q: int) -> str:
+    """``format_rational(Fraction(n, q))`` for q > 0, without the ``Fraction``."""
+    g = gcd(n, q)
+    return str(n // g) if g == q else f"{n // g}/{q // g}"
 
 
 def parse_scalar(obj, field):

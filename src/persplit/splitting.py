@@ -75,9 +75,9 @@ def psi_schedule(inst: PerverseLefschetzInstance, i: int, d: int):
         # column j of the product is zero iff basis row j satisfies
         # η^{i+t}v ∈ W_{≤i+t}; the witness is the first row that does not
         product = inst.cut_rows(d, power, i + t) @ current.basis.transpose()
-        witness_row = next((row for row, column in zip(current.basis.data, zip(*product.data))
-                            if any(column)), None)
-        if witness_row is not None:
+        if not product.is_zero():
+            witness_row = next(row for row, column in zip(current.basis.data, zip(*product.data))
+                               if any(column))
             raise ContainmentViolation(i, d, t, witness_row)
         current = inst.cut_by(current, [inst.cut_rows(d, power, i + t - 1)])
         steps.append(ScheduleStep(t, power, i + t, current.dim))

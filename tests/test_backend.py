@@ -1,7 +1,13 @@
-"""The row-reduction kernel against the reference Gauss–Jordan oracle."""
+"""The row-reduction kernel against the reference Gauss–Jordan oracle.
+
+Over ℚ the kernel takes integer rows and returns primitive integer rows
+with positive pivot entries; ``integer_rref`` is the one place where the
+tests cross between that contract and the oracle's ``Fraction`` rows.
+"""
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 from hypothesis import example, given, settings, strategies as st
 from rref_oracle import oracle_rref_rows
@@ -31,9 +37,32 @@ def row_lists(draw, entries, zero):
     return rows, ncols
 
 
+def integer_rref(rows, ncols, scales=None):
+    """The kernel on ``Fraction`` rows, through its integer contract: row k
+    is cleared of denominators (times ``scales[k]``, default 1, which keeps
+    the row space), reduced by ``rref_rows``, checked to come back as
+    primitive integer rows with positive pivot entries, and divided by
+    each pivot entry.  Returns the RREF as ``Fraction`` rows and the pivots."""
+    scales = scales or [1] * len(rows)
+    ints = []
+    for row, scale in zip(rows, scales):
+        den = lcm(*[x.denominator for x in row])
+        ints.append(tuple(x.numerator * (den // x.denominator) * scale for x in row))
+    snapshot = list(ints)
+    reduced, pivots = rref_rows(ints, ncols)
+    assert ints == snapshot, "the kernel mutated its input"
+    for row, p in zip(reduced, pivots):
+        assert type(row) is tuple and all(type(x) is int for x in row)
+        assert row[p] > 0 and gcd(*row) == 1
+    return [tuple(Fraction(x, row[p]) for x in row) for row, p in zip(reduced, pivots)], pivots
+
+
 def check_against_oracle(rows, ncols):
     snapshot = [list(r) for r in rows]
-    out = rref_rows(rows, ncols)
+    if rows and rows[0] and isinstance(rows[0][0], Gaussian):
+        out = rref_rows(rows, ncols)
+    else:
+        out = integer_rref(rows, ncols)
     assert rows == snapshot, "the kernel mutated its input"
     assert out == oracle_rref_rows(snapshot, ncols)
     return out
@@ -49,8 +78,17 @@ def check_against_oracle(rows, ncols):
           2))
 def test_kernel_matches_oracle_over_q(case):
     rows, ncols = case
-    reduced, _ = check_against_oracle(rows, ncols)
-    assert all(type(x) is Fraction for row in reduced for x in row)
+    check_against_oracle(rows, ncols)
+
+
+@settings(max_examples=100, deadline=None)
+@given(row_lists(RATIONALS, ZERO), st.lists(st.integers(-6, 6).filter(bool), min_size=12,
+                                           max_size=12))
+def test_integer_kernel_ignores_row_scales(case, scales):
+    """Rows scaled by any nonzero integers, negative or sharing a factor,
+    reduce to the same primitive rows."""
+    rows, ncols = case
+    assert integer_rref(rows, ncols, scales[:len(rows)]) == integer_rref(rows, ncols)
 
 
 def test_backends_agree_on_seeded_rational_matrices():
@@ -60,15 +98,16 @@ def test_backends_agree_on_seeded_rational_matrices():
         ncols = rng.randint(1, 6)
         rows = [tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9))
                       for _ in range(ncols)) for _ in range(nrows)]
-        assert rref_rows(rows, ncols) == oracle_rref_rows(rows, ncols)
+        assert integer_rref(rows, ncols) == oracle_rref_rows(rows, ncols)
 
 
 def test_pure_kernel_does_not_mutate_input():
-    for rows in ([(Fraction(2), Fraction(4)), (Fraction(1), Fraction(2))],
-                 [[Fraction(1, 3), Fraction(2)], [Fraction(0), Fraction(5, 7)]],
+    for rows in ([(2, 4), (1, 2)],
+                 [[1, 6], [0, 5]],
+                 [[-3, 6, 9], [2, 0, 4]],
                  [[Gaussian(0, 2), Gaussian(1, 1)], [Gaussian(1, 0), GI_ZERO]]):
         snapshot = [type(r)(r) for r in rows]
-        rref_rows(rows, 2)
+        rref_rows(rows, len(rows[0]))
         assert rows == snapshot
         assert all(type(r) is type(s) and r == s for r, s in zip(rows, snapshot))
 

@@ -9,7 +9,8 @@ from persplit.linalg import (Matrix, Subspace, image_of, kernel, preimage,
 from persplit.scalars import FIELD_Q, FIELD_QI, Gaussian, Rat, field_one, field_zero
 
 from oracle_helpers import frac_matrix
-from test_backend import BIG_Q
+from rref_oracle import oracle_rref_rows
+from test_backend import BIG_Q, RATIONALS
 
 
 # --- reduced row echelon form ---------------------------------------------
@@ -411,3 +412,102 @@ def test_quotient_map_reads_a_permutation_basis_without_inverting(pair):
     projection, section = span_and_sum_quotient_map(a, b)
     assert q.projection == projection and q.section == section
     assert q.projection.data == q.section.data
+
+
+# --- the integer form against a Fraction oracle --------------------------------
+#
+# A ℚ matrix is stored as integer rows over positive denominators; these
+# properties compute every result again from the ``Fraction`` entries
+# alone, with the reference Gauss–Jordan oracle and triple loops.
+
+def oracle_product(a_rows, b_rows, ncols):
+    return tuple(tuple(sum((x * b_rows[k][j] for k, x in enumerate(row)), Rat(0))
+                       for j in range(ncols)) for row in a_rows)
+
+
+def oracle_rref(rows, ncols):
+    return tuple(oracle_rref_rows(rows, ncols)[0])
+
+
+def oracle_kernel(rows, ncols):
+    reduced, pivots = oracle_rref_rows(rows, ncols)
+    vectors = []
+    for j in (j for j in range(ncols) if j not in pivots):
+        vec = [Rat(0)] * ncols
+        vec[j] = Rat(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -reduced[r][j]
+        vectors.append(vec)
+    return oracle_rref(vectors, ncols)
+
+
+@st.composite
+def rational_cases(draw):
+    """Entry rows of shapes m×n, n×p and k×n (each of m, n, p, k in 0..4,
+    so 0×n and n×0 occur), with big denominators and zero rows mixed in."""
+    m, n, p, k = (draw(st.integers(0, 4)) for _ in range(4))
+
+    def rows(r, c):
+        out = [tuple(draw(RATIONALS) for _ in range(c)) for _ in range(r)]
+        if out and draw(st.booleans()):
+            out[draw(st.integers(0, r - 1))] = (Rat(0),) * c
+        return tuple(out)
+    return n, p, rows(m, n), rows(n, p), rows(k, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_cases())
+@example((3, 0, ((Rat(1, 999_983), 0, Rat(-5, 10**6)),) * 2, ((),) * 3, ()))
+@example((0, 2, (), (), ((),)))
+def test_integer_form_matches_fraction_oracle(case):
+    n, p, a_rows, b_rows, c_rows = case
+    a = Matrix(len(a_rows), n, a_rows)
+    b = Matrix(n, p, b_rows)
+    c = Matrix(len(c_rows), n, c_rows)
+    assert a.data == a_rows and all(type(x) is Rat for row in a.data for x in row)
+    assert (a @ b).data == oracle_product(a_rows, b_rows, p)
+    assert a.transpose().data == (tuple(zip(*a_rows)) if a_rows else ((),) * n)
+    assert a.stack(c).data == a_rows + c_rows
+    assert a.rref()[0].data == oracle_rref(a_rows, n)
+    assert kernel(a).basis.data == oracle_kernel(a_rows, n)
+    s, t = Subspace(n, c), Subspace(n, a)
+    s_basis = oracle_rref(c_rows, n)
+    assert s.basis.data == s_basis
+    assert s.sum(t).basis.data == oracle_rref(c_rows + a_rows, n)
+    assert s.contains(t) == (len(oracle_rref(c_rows + a_rows, n)) == len(s_basis))
+    assert all(s.contains_vector(row) == (len(oracle_rref(c_rows + (row,), n)) == len(s_basis))
+               for row in a_rows)
+    # {v ∈ S : A·v = 0} is X·S for X the kernel of A·Sᵀ
+    x = oracle_kernel(oracle_product(a_rows, tuple(zip(*s_basis)) if s_basis
+                                     else ((),) * n, len(s_basis)), len(s_basis))
+    assert s.cut_by(a).basis.data == oracle_rref(oracle_product(x, s_basis, n), n)
+    if len(a_rows) == n:
+        ident = tuple(tuple(Rat(int(i == j)) for j in range(n)) for i in range(n))
+        reduced, pivots = oracle_rref_rows([row + e for row, e in zip(a_rows, ident)], 2 * n)
+        if pivots[:n] == list(range(n)):
+            assert a.inverse().data == tuple(row[n:] for row in reduced)
+        else:
+            with pytest.raises(InputError):
+                a.inverse()
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_cases())
+def test_equal_entries_give_equal_and_hash_equal_matrices(case):
+    """Whatever path built a matrix (entries, a product, a reduction, a
+    kernel, a sum), equal entries mean == and equal hashes."""
+    n, p, a_rows, b_rows, c_rows = case
+    a, b = Matrix(len(a_rows), n, a_rows), Matrix(n, p, b_rows)
+    built = [a, a @ b, a.rref()[0], kernel(a).basis, a.transpose(), -a, a.scale(Rat(-7, 3)),
+             a + a - a, Matrix.identity(a.rows) @ a, a @ Matrix.identity(n),
+             Subspace(n, a.stack(Matrix(len(c_rows), n, c_rows))).basis]
+    for m in built:
+        again = Matrix(m.rows, m.cols, m.data)
+        assert again == m and hash(again) == hash(m)
+    assert a + a - a == a and hash(a + a - a) == hash(a)
+    assert Matrix.identity(a.rows) @ a == a == a @ Matrix.identity(n)
+    assert -(-a) == a and a.scale(Rat(-7, 3)).scale(Rat(-3, 7)) == a
+    assert rref(a.rref()[0]) == a.rref()[0]
+    integers = Matrix(len(a_rows), n, [[x.numerator if x.denominator == 1 else x for x in row]
+                                       for row in a_rows])
+    assert integers == a and hash(integers) == hash(a)

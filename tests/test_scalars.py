@@ -2,7 +2,7 @@ import pytest
 from fractions import Fraction
 
 from persplit.scalars import (FIELD_Q, FIELD_QI, Gaussian, as_field,
-                              format_rational, format_scalar, parse_rational,
+                              format_ratio, format_rational, format_scalar, parse_rational,
                               parse_scalar)
 
 
@@ -55,18 +55,39 @@ def test_rational_string_round_trip():
     for text in ("0", "5", "-7", "3/4", "-22/7"):
         assert format_rational(parse_rational(text)) == text
     with pytest.raises(ValueError):
-        parse_rational("1/0")
-    with pytest.raises(ValueError):
         parse_rational("one")
+
+
+def test_zero_denominator_is_named_in_words():
+    with pytest.raises(ValueError) as exc:
+        parse_rational("1/0")
+    assert str(exc.value) == "bad rational '1/0': zero denominator"
+
+
+def test_format_ratio_matches_format_rational():
+    for n in range(-12, 13):
+        for q in range(1, 13):
+            assert format_ratio(n, q) == format_rational(Fraction(n, q))
+    assert format_ratio(-10**30, 4 * 10**29) == "-5/2"
 
 
 @pytest.mark.parametrize("text", ["0.5", "1e5", "1e40000000", "1/2e3", "+3", " 3", "3/-4",
                                   "1_000", "½", "٣", 3, 0.5, None])
 def test_parse_rational_accepts_only_the_canonical_form(text):
-    # decimals and exponents are refused before any number is built, so a
-    # short string cannot stand for a huge integer
+    """Despite its name, this checks only what is refused: decimals,
+    exponents, a plus sign, spaces, underscores, non-ASCII digits, a signed
+    denominator and non-strings.  Decimals and exponents are refused before
+    any number is built, so a short string cannot stand for a huge integer.
+    Non-canonical spellings of a value ("2/4", "-0", "01", "1/1") are
+    accepted: see ``test_parse_rational_reads_noncanonical_spellings``."""
     with pytest.raises(ValueError, match="bad rational"):
         parse_rational(text)
+
+
+def test_parse_rational_reads_noncanonical_spellings():
+    assert parse_rational("2/4") == Fraction(1, 2)
+    assert parse_rational("-0") == 0
+    assert parse_rational("01") == parse_rational("1/1") == 1
 
 
 def test_scalar_serialization_both_fields():

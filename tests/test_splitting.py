@@ -1,3 +1,5 @@
+import cProfile
+import pstats
 from fractions import Fraction
 
 import pytest
@@ -277,3 +279,21 @@ def test_hard_lefschetz_failure_keeps_its_witness():
     with pytest.raises(VerificationFailure) as exc:
         assemble(degenerate, {})
     assert str(exc.value) == str(report)
+
+
+def test_splitting_builds_no_fractions(tmp_path):
+    """ℚ values stay integer rows inside the engine: on a loaded twisted
+    split model, ``compute_splitting`` constructs no ``Fraction``."""
+    path = tmp_path / "twisted.json"
+    save(twisted_model(), path)
+    inst = fileformat.load(path)
+    profile = cProfile.Profile()
+    profile.enable()
+    try:
+        result = compute_splitting(inst)
+    finally:
+        profile.disable()
+    assert result.embedded
+    new = Fraction.__new__.__code__
+    calls = {key[:3]: stat[1] for key, stat in pstats.Stats(profile).stats.items()}
+    assert calls.get((new.co_filename, new.co_firstlineno, new.co_name), 0) == 0
