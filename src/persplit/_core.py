@@ -1,19 +1,20 @@
 """Row-reduction kernel: the reduced row echelon form (RREF) of a list of rows.
 
 The RREF of a row space is unique, so it doubles as the canonical form
-of every subspace in the engine.  Over ℚ the kernel works on integer
-rows: a ℚ matrix stores each row as integers over one denominator, and
+of every subspace in the engine.  The kernel works on integer rows: a
+ℚ matrix stores each row as integers over one denominator, and
 scaling a row does not change the row space, so ``rref_rows`` reads the
 numerators alone.  It returns each RREF row as the primitive integer row
 (coprime entries) with a positive pivot entry; dividing by that entry
-gives the row of the rational RREF.  ``rref_rows`` takes one of three
-paths:
+gives the row of the rational RREF.  A ℚ(i) matrix is stored as the
+integer rows of its realification (see ``linalg``), so this one
+elimination serves both fields.  ``rref_rows`` takes one of two paths:
 
 * rows that already have that form (zero rows aside) come back
   unchanged, after one pass that checks the echelon shape: leads strictly
   increase, every pivot column is zero outside its own row, and each
-  pivot entry is positive on a primitive row (1, over ℚ(i));
-* integer rows are made primitive and reduced by Gauss–Jordan with
+  pivot entry is positive on a primitive row;
+* other rows are made primitive and reduced by Gauss–Jordan with
   cross-multiplication: at each pivot, every other row r is replaced by
   (h/g)·r − (e/g)·lead_row, where h is the pivot entry, e the entry of r
   in the pivot column and g = gcd(h, e), and the new row is divided by
@@ -21,8 +22,7 @@ paths:
   (Cohen, GTM 138, §2.2).  This is not Bareiss's elimination
   (*Math. Comp.* 22, 1968), whose exact division by the previous pivot
   bounds the entries without a gcd per row; that remains open under
-  "A kernel that scales" in ROADMAP.md;
-* any other exact field (ℚ(i)) runs plain Gauss–Jordan elimination.
+  "A kernel that scales" in ROADMAP.md.
 """
 
 from __future__ import annotations
@@ -34,12 +34,10 @@ BACKEND = "python"
 
 
 def rref_rows(rows, ncols):
-    """Reduced row echelon form of ``rows``, zero rows dropped.
+    """Reduced row echelon form of the integer ``rows``, zero rows dropped.
 
-    Returns ``(reduced_rows, pivot_columns)`` with the rows as tuples.
-    Rows of ``int``s (a ℚ matrix's numerators) give primitive integer rows
-    whose pivot entries are positive; rows over another exact field give
-    the RREF itself, with 1 at each pivot.  The input is not mutated.
+    Returns ``(reduced_rows, pivot_columns)``: primitive integer rows, as
+    tuples, whose pivot entries are positive.  The input is not mutated.
     """
     nonzero, leads = [], []
     for row in rows:
@@ -49,14 +47,8 @@ def rref_rows(rows, ncols):
             leads.append(lead)
     if not nonzero:
         return [], []
-    integer = type(nonzero[0][leads[0]]) is int
-    reduced = all(a < b for a, b in zip(leads, leads[1:]))
-    if reduced:
-        if integer:
-            reduced = all(row[lead] > 0 and gcd(*row) == 1
-                          for row, lead in zip(nonzero, leads))
-        else:
-            reduced = all(row[lead] == 1 for row, lead in zip(nonzero, leads))
+    reduced = all(a < b for a, b in zip(leads, leads[1:])) and all(
+        row[lead] > 0 and gcd(*row) == 1 for row, lead in zip(nonzero, leads))
     # Earlier rows' lead columns lie before a row's own lead, where it is
     # zero; it must also vanish in every later row's lead column.
     for i in range(len(nonzero) - 1 if reduced else 0):
@@ -65,9 +57,7 @@ def rref_rows(rows, ncols):
             break
     if reduced:
         return [tuple(row) for row in nonzero], leads
-    if integer:
-        return _rref_integer(nonzero, ncols)
-    return _rref_field(nonzero, ncols)
+    return _rref_integer(nonzero, ncols)
 
 
 def _primitive(row):
@@ -108,31 +98,3 @@ def _rref_integer(rows, ncols):
     return [tuple(row) if row[col] > 0 else tuple([-x for x in row])
             for row, col in zip(work, pivots)], pivots
 
-
-def _rref_field(rows, ncols):
-    """Gauss–Jordan elimination over any exact field, dividing as it goes."""
-    work = [list(r) for r in rows]
-    nrows = len(work)
-    pivots = []
-    lead = 0
-    for col in range(ncols):
-        pivot_row = next((r for r in range(lead, nrows) if work[r][col]), -1)
-        if pivot_row < 0:
-            continue
-        work[lead], work[pivot_row] = work[pivot_row], work[lead]
-        lead_row = work[lead]
-        head = lead_row[col]
-        if head != 1:
-            for j in range(col, ncols):
-                lead_row[j] = lead_row[j] / head
-        for r in range(nrows):
-            row = work[r]
-            if r != lead and row[col]:
-                factor = row[col]
-                for j in range(col, ncols):
-                    row[j] = row[j] - factor * lead_row[j]
-        pivots.append(col)
-        lead += 1
-        if lead == nrows:
-            break
-    return [tuple(work[r]) for r in range(lead)], pivots

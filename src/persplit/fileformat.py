@@ -18,7 +18,7 @@ from .graded import Filtration, GradedMap, GradedSpace
 from .hodge import HodgeBigrading
 from .instance import PerverseLefschetzInstance
 from .linalg import Matrix, Subspace
-from .scalars import FIELD_Q, FIELD_QI, format_ratio, format_scalar, parse_scalar
+from .scalars import FIELD_Q, FIELD_QI, format_ratio, parse_scalar
 from .version import __version__
 
 FORMAT_NAME = "perverse-lefschetz-instance"
@@ -30,14 +30,15 @@ FORMAT_VERSION = 1
 
 
 def matrix_record(m: Matrix, strings: dict):
-    """The entry strings of ``m``, row by row.  Over ℚ they are formatted
-    from the integer rows: ``strings`` maps a denominator q to the strings
-    of the n/q formatted so far, keyed by n, so a document that shares one
-    dict formats each distinct (n, q) once."""
-    if m.field != FIELD_Q:
-        return [[format_scalar(x) for x in row] for row in m.data]
+    """The entries of ``m``, row by row, formatted from the integer rows:
+    ``strings`` maps a denominator q to the strings of the n/q formatted so
+    far, keyed by n, so a document that shares one dict formats each
+    distinct (n, q) once.  Over ℚ(i), stored row 2r lists the real and the
+    imaginary part of each entry of row r; a real entry is its string, any
+    other one ``{"re": …, "im": …}``."""
+    complex_rows = m.field == FIELD_QI
     record = []
-    for nums, q in m.integer_rows():
+    for nums, q in m.integer_rows()[::2 if complex_rows else 1]:
         texts = strings.get(q)
         if texts is None:
             texts = strings[q] = {}
@@ -47,6 +48,9 @@ def matrix_record(m: Matrix, strings: dict):
             if text is None:
                 text = texts[n] = format_ratio(n, q)
             row.append(text)
+        if complex_rows:
+            row = [re if not im else {"re": re, "im": im_text}
+                   for re, im_text, im in zip(row[::2], row[1::2], nums[1::2])]
         record.append(row)
     return record
 
@@ -166,8 +170,9 @@ def _get(obj, key, pointer, kind=None):
 def _parse_matrix(rows, cols, obj, pointer, scalars, field=FIELD_Q):
     """The ``rows × cols`` matrix of the list ``obj``.  ``scalars`` maps each
     entry string already parsed in this file, over ``field``, to its
-    value, so each distinct string is parsed once; over ℚ the value is its
-    (numerator, denominator) pair, from which the integer rows are built."""
+    value, so each distinct string is parsed once.  The value is kept as
+    its (numerator, denominator) pair over ℚ and as the pairs of its real
+    and imaginary part over ℚ(i), from which the integer rows are built."""
     _expect(isinstance(obj, list) and len(obj) == rows,
             f"expected {rows} rows", pointer)
     data = []
@@ -182,15 +187,13 @@ def _parse_matrix(rows, cols, obj, pointer, scalars, field=FIELD_Q):
                     value = parse_scalar(entry, field)
                 except ValueError as exc:
                     raise ParseError(str(exc), f"{pointer}/{r}/{c}") from None
-                if field == FIELD_Q:
-                    value = value.as_integer_ratio()
+                value = value.as_integer_ratio() if field == FIELD_Q else \
+                    (value.re.as_integer_ratio(), value.im.as_integer_ratio())
                 if type(entry) is str:
                     scalars[entry] = value
             out.append(value)
         data.append(out)
-    if field == FIELD_Q:
-        return Matrix.from_ratios(rows, cols, data)
-    return Matrix(rows, cols, tuple(map(tuple, data)), field, _raw=True)
+    return Matrix.from_ratios(rows, cols, data, field)
 
 
 def _parse_blocks(records, pointer, noun, dims, shape, scalars):

@@ -8,8 +8,10 @@ splittings, and group invariants.
 
 A Hodge structure is a representation of the Deligne torus (Deligne,
 *Théorie de Hodge II*, 1971), so the checks run on operators instead of
-on the pieces.  One Q(i) inverse per degree gives the projectors π_pq of
-the decomposition.  Conjugation swaps π_pq and π_qp, so the operators
+on the pieces.  One inverse per degree, of the stacked piece bases,
+gives the projectors π_pq of the decomposition; a Q(i) matrix is stored
+as its realification over Q (see ``linalg``), so that inverse runs on
+the integer kernel.  Conjugation swaps π_pq and π_qp, so the operators
 R_pq = π_pq + π_qp and J_pq = i(π_pq − π_qp) for p < q, and π_pp itself,
 are rational; as π_pq = (R_pq − iJ_pq)/2, they decide each check with
 products over Q:
@@ -35,7 +37,7 @@ from .errors import (EngineDefect, GroupClosureBoundExceeded, HypothesisFailure,
 from .graded import GradedMap, GradedSpace, memoized
 from .instance import PerverseLefschetzInstance
 from .linalg import Matrix, Subspace, _leads, _spans, image_of, kernel
-from .scalars import FIELD_Q, FIELD_QI, GI_I
+from .scalars import FIELD_QI, GI_I
 
 
 class HodgeBigrading:
@@ -153,38 +155,28 @@ def _decompose(n, pieces) -> Decomposition:
         if p == q:
             return Decomposition(n, n, coords, types, {(p, p): (Matrix.identity(n),)}, (p, p))
     else:
-        # [B | I] reduces to [I | B⁻¹] exactly when the pieces are a basis
-        stacked = [row for _, sub in pieces for row in sub.basis.data]
-        ident = Matrix.identity(n, FIELD_QI).data
-        reduced, pivots = Matrix(n, total + n, tuple(
-            tuple(row[i] for row in stacked) + ident[i] for i in range(n)),
-            FIELD_QI, _raw=True).rref()
-        rank = sum(1 for c in pivots if c < total)
-        if not rank == total == n:
-            return Decomposition(rank, total)
-        coords = Matrix(n, n, tuple(row[n:] for row in reduced.data), FIELD_QI, _raw=True)
+        # B⁻¹ exists exactly when the pieces are a basis
+        stacked = reduce(Matrix.stack, [sub.basis for _, sub in pieces],
+                         Matrix.zero(0, n, FIELD_QI))
+        try:
+            coords = stacked.transpose().inverse() if total == n else None
+        except InputError:
+            coords = None
+        if coords is None:
+            return Decomposition(stacked.rank(), total)
     projector, start = {}, 0
     for pq, sub in pieces:
-        rows = Matrix(sub.dim, n, coords.data[start:start + sub.dim], FIELD_QI, _raw=True)
-        projector[pq] = sub.basis.transpose() @ rows
+        projector[pq] = sub.basis.transpose() @ coords._take(range(start, start + sub.dim))
         start += sub.dim
     zero = Matrix.zero(n, n, FIELD_QI)
     ops = {}
     for p, q in sorted({(min(pq), max(pq)) for pq in projector}):
         if p == q:
-            ops[(p, q)] = (_rational(projector[(p, q)]),)
+            ops[(p, q)] = (projector[(p, q)].rational(),)
         else:
             a, b = projector.get((p, q), zero), projector.get((q, p), zero)
-            ops[(p, q)] = (_rational(a + b), _rational((a - b).scale(GI_I)))
+            ops[(p, q)] = ((a + b).rational(), (a - b).scale(GI_I).rational())
     return Decomposition(n, n, coords, types, ops)
-
-
-def _rational(m: Matrix) -> Matrix:
-    """``m`` over Q when every entry is real, else ``m``."""
-    if any(x.im for row in m.data for x in row):
-        return m
-    return Matrix(m.rows, m.cols, tuple(tuple(x.re for x in row) for row in m.data),
-                  FIELD_Q, _raw=True)
 
 
 def _equal_products(a: Matrix, b: Matrix, c: Matrix, d: Matrix) -> bool:

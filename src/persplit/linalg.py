@@ -1,12 +1,30 @@
-"""Dense exact matrices over Q or Q(i) and the subspace lattice.
+"""Dense exact matrices over ℚ or ℚ(i) and the subspace lattice.
 
-A ℚ matrix stores each row as integers over one positive denominator,
+A matrix stores each row as integers over one positive denominator,
 (n_1, …, n_k)/q with gcd(n_1, …, n_k, q) = 1.  Each rational row has
 exactly one such form, so equality and hashing read it directly, and the
-kernel, products and the subspace lattice run on these integers.  The
-``Fraction`` entries of ``Matrix.data`` are built only when something
-reads them: the file format, the CLI and tests.  A ℚ(i) matrix stores
-its ``Gaussian`` entries.
+kernel, products and the subspace lattice run on these integers.
+
+A ℚ(i) matrix is stored as the ℚ matrix of its realification: entry
+a + bi becomes the 2×2 block φ(a + bi) = [[a, b], [−b, a]].  φ is a ring
+embedding, so sums, products and inverses commute with it and run on the
+stored rows unchanged.  Stored row 2r is φ(v) = (Re v_1, Im v_1, Re v_2, …)
+for row v, and row 2r + 1 is φ(iv).  The ℚ-RREF of such row pairs is
+again such pairs, the realification of the ℚ(i)-RREF: a ℚ(i)-RREF row r
+with pivot p gives the rows φ(r) and φ(ir), with pivots 2p and 2p + 1 and
+zeros at every other pivot column.  So the canonical form, equality and
+hashing stay exact.  Let F negate the stored entries whose row index +
+column index is odd; F of a block is the block of the conjugate, so
+
+- the conjugate is F of the stored matrix;
+- the ℚ(i) transpose is F of the stored transpose;
+- the ℚ(i) kernel of m is F of the ℚ kernel of the stored rows, which
+  vanish on φ(x) exactly when m·x̄ = 0.
+
+Row and column indices at the API are ℚ(i) indices; entry j is stored at
+2j and 2j + 1.  The ``Fraction`` or ``Gaussian`` entries of
+``Matrix.data`` are built only when something reads them: the file
+format, the CLI and tests.
 
 Subspaces are stored by their reduced row-echelon basis, which is the
 canonical form: two subspaces are equal iff their bases are identical.
@@ -23,14 +41,15 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import compress, count
 from math import gcd, lcm
-from operator import add, sub
 
 from ._core import rref_rows
 from .errors import DimensionMismatch, FieldMismatch, InputError
-from .scalars import (FIELD_Q, FIELD_QI, GI_ZERO, Q_ZERO, Gaussian, as_field, field_one,
-                      field_zero)
+from .scalars import FIELD_Q, FIELD_QI, GI_ZERO, Q_ZERO, Gaussian, as_field
 
 _set = object.__setattr__
+
+# stored rows (and columns) per row (and column) of a matrix over the field
+_BLOCK = {FIELD_Q: 1, FIELD_QI: 2}
 
 
 def _ratio(x):
@@ -39,6 +58,13 @@ def _ratio(x):
         return x.as_integer_ratio()
     except AttributeError:
         return as_field(x, FIELD_Q).as_integer_ratio()
+
+
+def _complex_ratio(x):
+    """The ``_ratio`` of the real and of the imaginary part of ``x``."""
+    if isinstance(x, Gaussian):
+        return x.re.as_integer_ratio(), x.im.as_integer_ratio()
+    return _ratio(x), (0, 1)
 
 
 def _canonical(ints, den):
@@ -55,36 +81,49 @@ def _integer_row(ratios):
     return _canonical([n if d == den else n * (den // d) for n, d in ratios], den)
 
 
-def _q_matrix(rows, cols, num, den):
-    """A ℚ matrix from canonical rows: ``num[r]/den[r]``."""
+def _turn(nums):
+    """The stored row φ(iv) from φ(v): each pair (a, b) becomes (−b, a)."""
+    return tuple([x for a, b in zip(nums[::2], nums[1::2]) for x in (-b, a)])
+
+
+def _flip(num):
+    """F: the stored entries whose row index + column index is odd, negated."""
+    out = []
+    for r, row in enumerate(num):
+        row = list(row)
+        row[1 - r % 2::2] = [-x for x in row[1 - r % 2::2]]
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _matrix(rows, cols, num, den, field=FIELD_Q):
+    """A matrix from canonical stored rows: ``num[r]/den[r]``."""
     m = object.__new__(Matrix)
     _set(m, "rows", rows)
     _set(m, "cols", cols)
-    _set(m, "field", FIELD_Q)
+    _set(m, "field", field)
     _set(m, "_num", num)
     _set(m, "_den", den)
     return m
 
 
-def _q_pairs(rows, cols, pairs):
-    """A ℚ matrix from canonical ``(numerators, denominator)`` rows."""
-    return _q_matrix(rows, cols, tuple(n for n, _ in pairs), tuple(q for _, q in pairs))
+def _pairs(rows, cols, pairs, field=FIELD_Q):
+    """A matrix from canonical ``(numerators, denominator)`` stored rows."""
+    return _matrix(rows, cols, tuple(n for n, _ in pairs), tuple(q for _, q in pairs), field)
 
 
-def _qi_matrix(rows, cols, data):
-    m = object.__new__(Matrix)
-    _set(m, "rows", rows)
-    _set(m, "cols", cols)
-    _set(m, "field", FIELD_QI)
-    _set(m, "_data", data)
-    return m
+def _stored(m, indices):
+    """The stored indices of the rows, or columns, of ``m`` at ``indices``."""
+    if m.field == FIELD_Q:
+        return indices
+    return [s for j in indices for s in (2 * j, 2 * j + 1)]
 
 
 class Matrix:
-    """Immutable dense matrix; rows of exact field elements.
+    """Immutable dense matrix over ℚ or ℚ(i).
 
-    Over ℚ, ``_num[r]`` and ``_den[r]`` hold row r in its canonical integer
-    form; over ℚ(i), ``_data`` holds the ``Gaussian`` rows."""
+    ``_num[r]`` and ``_den[r]`` hold stored row r in its canonical integer
+    form: row r itself over ℚ, a row of the realification over ℚ(i)."""
 
     __slots__ = ("rows", "cols", "field", "_num", "_den", "_data", "_hash", "_transpose",
                  "_integer")
@@ -94,16 +133,13 @@ class Matrix:
             data = [tuple(row) for row in data]
             if len(data) != rows or any(len(r) != cols for r in data):
                 raise DimensionMismatch(f"expected {rows}x{cols} entries")
+        ratio = _ratio if field == FIELD_Q else _complex_ratio
+        m = Matrix.from_ratios(rows, cols, [[ratio(x) for x in row] for row in data], field)
         _set(self, "rows", rows)
         _set(self, "cols", cols)
         _set(self, "field", field)
-        if field == FIELD_Q:
-            q = Matrix.from_ratios(rows, cols, [[_ratio(x) for x in row] for row in data])
-            _set(self, "_num", q._num)
-            _set(self, "_den", q._den)
-        else:
-            _set(self, "_data", data if _raw else
-                 tuple(tuple(as_field(x, field) for x in row) for row in data))
+        _set(self, "_num", m._num)
+        _set(self, "_den", m._den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -118,57 +154,65 @@ class Matrix:
         return cls(len(data), cols, data, field)
 
     @classmethod
-    def from_ratios(cls, rows, cols, ratios):
-        """The ℚ matrix whose entry (r, c) is n/d for the pair
-        ``ratios[r][c] = (n, d)``, d > 0; shapes are not checked."""
-        return _q_pairs(rows, cols, [_integer_row(row) for row in ratios])
+    def from_ratios(cls, rows, cols, ratios, field=FIELD_Q):
+        """The matrix whose entry (r, c) is read from ``ratios[r][c]``: over
+        ℚ a pair (n, d), d > 0, for n/d; over ℚ(i) a pair of such pairs, for
+        the real and the imaginary part.  Shapes are not checked."""
+        if field == FIELD_Q:
+            return _pairs(rows, cols, [_integer_row(row) for row in ratios])
+        pairs = []
+        for row in ratios:
+            nums, den = _integer_row([part for entry in row for part in entry])
+            pairs += ((nums, den), (_turn(nums), den))
+        return _pairs(rows, cols, pairs, field)
 
     @classmethod
     def zero(cls, rows, cols, field=FIELD_Q):
-        if field == FIELD_Q:
-            return _q_matrix(rows, cols, ((0,) * cols,) * rows, (1,) * rows)
-        return _qi_matrix(rows, cols, ((GI_ZERO,) * cols,) * rows)
+        k = _BLOCK[field]
+        return _matrix(rows, cols, ((0,) * (k * cols),) * (k * rows), (1,) * (k * rows), field)
 
     @classmethod
     def identity(cls, n, field=FIELD_Q):
-        z, o = (0, 1) if field == FIELD_Q else (field_zero(field), field_one(field))
-        units = tuple(tuple(o if i == j else z for j in range(n)) for i in range(n))
-        if field == FIELD_Q:
-            return _q_matrix(n, n, units, (1,) * n)
-        return _qi_matrix(n, n, units)
+        size = _BLOCK[field] * n      # φ(1) is the 2×2 identity
+        units = tuple((0,) * i + (1,) + (0,) * (size - i - 1) for i in range(size))
+        return _matrix(n, n, units, (1,) * size, field)
 
     @property
     def data(self):
-        """The entries as tuples of field elements.  Over ℚ they are
-        ``Fraction``s, built on the first read and kept."""
+        """The entries as tuples of field elements, ``Fraction``s over ℚ
+        and ``Gaussian``s over ℚ(i), built on the first read and kept."""
         try:
             return self._data
         except AttributeError:
-            value = tuple(tuple([Fraction(x, q) if x else Q_ZERO for x in row])
-                          for row, q in zip(self._num, self._den))
+            if self.field == FIELD_Q:
+                value = tuple(tuple([Fraction(x, q) if x else Q_ZERO for x in row])
+                              for row, q in zip(self._num, self._den))
+            else:
+                value = tuple(tuple([Gaussian(Fraction(a, q), Fraction(b, q)) if a or b
+                                     else GI_ZERO for a, b in zip(row[::2], row[1::2])])
+                              for row, q in zip(self._num[::2], self._den[::2]))
             _set(self, "_data", value)
             return value
 
     def integer_rows(self):
-        """Over ℚ, each row as ``(numerators, denominator)``: the entries are
-        n/q, q > 0 and gcd(n_1, …, n_k, q) = 1."""
+        """Each stored row as ``(numerators, denominator)``: the entries are
+        n/q, q > 0 and gcd(n_1, …, n_k, q) = 1.  Over ℚ(i) these are the
+        rows of the realification, and row 2r lists the real and the
+        imaginary part of each entry of row r in turn."""
         return tuple(zip(self._num, self._den))
-
-    def _key(self):
-        return (self._num, self._den) if self.field == FIELD_Q else self._data
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (self.rows, self.cols, self.field) == (other.rows, other.cols, other.field) \
-            and self._key() == other._key()
+        return (self.rows, self.cols, self.field, self._num, self._den) == \
+            (other.rows, other.cols, other.field, other._num, other._den)
 
     def __hash__(self):
         # formed once: a matrix keys memos
         try:
             return self._hash
         except AttributeError:
-            value = hash((self.rows, self.cols, self.field, self._key()))
+            value = hash((self.rows, self.cols, self.field, self._num, self._den))
             _set(self, "_hash", value)
             return value
 
@@ -184,50 +228,36 @@ class Matrix:
     def _combine(self, other, sign):
         """self + sign·other."""
         self._check_same_shape(other)
-        if self.field == FIELD_Q:
-            pairs = []
-            for a, p, b, q in zip(self._num, self._den, other._num, other._den):
-                common = lcm(p, q)
-                s, t = common // p, sign * (common // q)
-                pairs.append(_canonical([s * x + t * y for x, y in zip(a, b)], common))
-            return _q_pairs(self.rows, self.cols, pairs)
-        op = add if sign > 0 else sub
-        return _qi_matrix(self.rows, self.cols,
-                          tuple(tuple(map(op, ra, rb)) for ra, rb in zip(self._data, other._data)))
+        pairs = []
+        for a, p, b, q in zip(self._num, self._den, other._num, other._den):
+            common = lcm(p, q)
+            s, t = common // p, sign * (common // q)
+            pairs.append(_canonical([s * x + t * y for x, y in zip(a, b)], common))
+        return _pairs(self.rows, self.cols, pairs, self.field)
 
     def __neg__(self):
-        if self.field == FIELD_Q:
-            return _q_matrix(self.rows, self.cols,
-                             tuple(tuple([-x for x in row]) for row in self._num), self._den)
-        return _qi_matrix(self.rows, self.cols, tuple(tuple(-a for a in row) for row in self._data))
+        return _matrix(self.rows, self.cols, tuple(tuple([-x for x in row]) for row in self._num),
+                       self._den, self.field)
 
     def scale(self, c):
-        c = as_field(c, self.field)
-        if self.field == FIELD_Q:
-            cn, cd = c.as_integer_ratio()
-            return _q_pairs(self.rows, self.cols, [_canonical([cn * x for x in row], cd * q)
-                                                   for row, q in zip(self._num, self._den)])
-        return _qi_matrix(self.rows, self.cols, tuple(tuple(c * a for a in row) for row in self._data))
+        """c·self, for c in the field."""
+        if isinstance(c, Gaussian) and self.field == FIELD_QI:
+            if c.im:
+                # i·self: each stored row φ(v) becomes φ(iv)
+                turned = _matrix(self.rows, self.cols, tuple(map(_turn, self._num)), self._den,
+                                 self.field)
+                return self.scale(c.re) + turned.scale(c.im)
+            c = c.re
+        cn, cd = _ratio(c)
+        return _pairs(self.rows, self.cols, [_canonical([cn * x for x in row], cd * q)
+                                             for row, q in zip(self._num, self._den)], self.field)
 
     def __matmul__(self, other):
         if self.field != other.field:
             raise FieldMismatch(f"{self.field} @ {other.field}")
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        if self.field == FIELD_Q:
-            return _q_matrix(self.rows, other.cols, *_matmul_rational(self, other))
-        # Row-times-matrix over the nonzero entries only: out_row += a · b_row.
-        zero = field_zero(self.field)
-        sparse = [[(j, b) for j, b in enumerate(brow) if b] for brow in other._data]
-        out = []
-        for row in self._data:
-            acc = [zero] * other.cols
-            for a, bnz in zip(row, sparse):
-                if a:
-                    for j, b in bnz:
-                        acc[j] += a * b
-            out.append(tuple(acc))
-        return _qi_matrix(self.rows, other.cols, tuple(out))
+        return _matrix(self.rows, other.cols, *_matmul_rational(self, other), self.field)
 
     def transpose(self):
         # formed once: a basis or block is transposed by many products
@@ -239,20 +269,22 @@ class Matrix:
             return value
 
     def _transposed(self):
-        if self.field == FIELD_QI:
-            return _qi_matrix(self.cols, self.rows, tuple(zip(*self._data)) if self._data else
-                              ((),) * self.cols)
         if not self.rows:
-            return _q_matrix(self.cols, 0, ((),) * self.cols, (1,) * self.cols)
+            return Matrix.zero(self.cols, 0, self.field)
         den = lcm(*self._den)
         if den == 1:
-            return _q_matrix(self.cols, self.rows, tuple(zip(*self._num)), (1,) * self.cols)
-        columns = zip(*[row if q == den else [x * (den // q) for x in row]
-                        for row, q in zip(self._num, self._den)])
-        return _q_pairs(self.cols, self.rows, [_canonical(col, den) for col in columns])
+            value = _matrix(self.cols, self.rows, tuple(zip(*self._num)),
+                            (1,) * len(self._num[0]), self.field)
+        else:
+            columns = zip(*[row if q == den else [x * (den // q) for x in row]
+                            for row, q in zip(self._num, self._den)])
+            value = _pairs(self.cols, self.rows, [_canonical(col, den) for col in columns],
+                           self.field)
+        # over ℚ(i) the stored transpose holds the conjugate blocks
+        return value.conjugate()
 
     def _integer_form(self):
-        """``(D, rows)`` over ℚ: D is the lcm of the row denominators and
+        """``(D, rows)``: D is the lcm of the stored row denominators and
         row k lists ``(j, D·x)`` for its nonzero entries x.  Formed once, on
         the first product with this matrix as the right operand."""
         try:
@@ -270,7 +302,7 @@ class Matrix:
         """Apply to a coordinate tuple (column-vector convention)."""
         if len(vector) != self.cols:
             raise DimensionMismatch(f"vector of length {len(vector)} for {self.cols} columns")
-        zero = field_zero(self.field)
+        zero = Q_ZERO if self.field == FIELD_Q else GI_ZERO
         vec = tuple(as_field(x, self.field) for x in vector)
         return tuple(sum((a * x for a, x in zip(row, vec) if a and x), zero)
                      for row in self.data)
@@ -281,76 +313,80 @@ class Matrix:
     def _take(self, indices):
         """The matrix of the rows at ``indices``."""
         indices = list(indices)
-        if self.field == FIELD_Q:
-            return _q_matrix(len(indices), self.cols, tuple(self._num[i] for i in indices),
-                             tuple(self._den[i] for i in indices))
-        return _qi_matrix(len(indices), self.cols, tuple(self._data[i] for i in indices))
+        stored = _stored(self, indices)
+        return _matrix(len(indices), self.cols, tuple(self._num[i] for i in stored),
+                       tuple(self._den[i] for i in stored), self.field)
 
     def _columns(self, columns):
         """The matrix of the columns at ``columns``, in that order."""
-        if self.field == FIELD_Q:
-            return _q_pairs(self.rows, len(columns), [_canonical([row[j] for j in columns], q)
-                                                      for row, q in zip(self._num, self._den)])
-        return _qi_matrix(self.rows, len(columns),
-                          tuple(tuple(row[j] for j in columns) for row in self._data))
+        stored = _stored(self, columns)
+        return _pairs(self.rows, len(columns), [_canonical([row[j] for j in stored], q)
+                                                for row, q in zip(self._num, self._den)],
+                      self.field)
 
     def stack(self, other):
         if self.cols != other.cols or self.field != other.field:
             raise DimensionMismatch("stack shape mismatch")
-        if self.field == FIELD_Q:
-            return _q_matrix(self.rows + other.rows, self.cols, self._num + other._num,
-                             self._den + other._den)
-        return _qi_matrix(self.rows + other.rows, self.cols, self._data + other._data)
+        return _matrix(self.rows + other.rows, self.cols, self._num + other._num,
+                       self._den + other._den, self.field)
 
     def rref(self):
-        if self.field == FIELD_Q:
-            reduced, pivots = rref_rows(self._num, self.cols)
-            # a primitive RREF row over its pivot entry is in canonical form
-            m = _q_matrix(len(reduced), self.cols, tuple(reduced),
-                          tuple(row[p] for row, p in zip(reduced, pivots)))
-        else:
-            reduced, pivots = rref_rows(self._data, self.cols)
-            m = _qi_matrix(len(reduced), self.cols, tuple(reduced))
+        k = _BLOCK[self.field]
+        reduced, pivots = rref_rows(self._num, k * self.cols)
+        # a primitive RREF row over its pivot entry is in canonical form
+        m = _matrix(len(reduced) // k, self.cols, tuple(reduced),
+                    tuple(row[p] for row, p in zip(reduced, pivots)), self.field)
+        if k == 2:
+            # the stored pivots come in pairs 2p, 2p + 1
+            pivots = [p // 2 for p in pivots[::2]]
         return m, tuple(pivots)
 
     def rank(self):
         return self.rref()[0].rows
 
     def is_zero(self):
-        return not any(map(any, _pattern(self)))
+        return not any(map(any, self._num))
 
     def inverse(self):
         if self.rows != self.cols:
             raise DimensionMismatch("inverse of a non-square matrix")
-        n = self.rows
-        if self.field == FIELD_Q:
-            # row i of [A | I] scaled by its denominator q_i: [n_i | q_i·e_i]
-            aug = [row + (0,) * i + (q,) + (0,) * (n - i - 1)
-                   for i, (row, q) in enumerate(zip(self._num, self._den))]
-        else:
-            ident = Matrix.identity(n, self.field)._data
-            aug = [row + ident[i] for i, row in enumerate(self._data)]
+        n = _BLOCK[self.field] * self.rows
+        # row i of [A | I] scaled by its denominator q_i: [n_i | q_i·e_i]
+        aug = [row + (0,) * i + (q,) + (0,) * (n - i - 1)
+               for i, (row, q) in enumerate(zip(self._num, self._den))]
         reduced, pivots = rref_rows(aug, 2 * n)
         if len(reduced) < n or tuple(pivots) != tuple(range(n)):
             raise InputError("matrix is singular")
-        if self.field == FIELD_Q:
-            # row i is p·e_i on the left, so its right half over p is canonical
-            return _q_matrix(n, n, tuple(row[n:] for row in reduced),
-                             tuple(row[i] for i, row in enumerate(reduced)))
-        return _qi_matrix(n, n, tuple(row[n:] for row in reduced))
+        # row i is p·e_i on the left, so its right half over p is canonical
+        return _matrix(self.rows, self.rows, tuple(row[n:] for row in reduced),
+                       tuple(row[i] for i, row in enumerate(reduced)), self.field)
 
     def complexify(self):
         if self.field == FIELD_QI:
             return self
-        return _qi_matrix(self.rows, self.cols, tuple(
-            tuple([Gaussian(Fraction(x, q)) if x else GI_ZERO for x in row])
-            for row, q in zip(self._num, self._den)))
+        # a real entry x is the block x·I
+        num = []
+        for row in self._num:
+            even = tuple([v for x in row for v in (x, 0)])
+            num += (even, _turn(even))
+        return _matrix(self.rows, self.cols, tuple(num),
+                       tuple(q for q in self._den for _ in (0, 1)), FIELD_QI)
 
     def conjugate(self):
         if self.field == FIELD_Q:
             return self
-        return _qi_matrix(self.rows, self.cols,
-                          tuple(tuple(a.conj() for a in row) for row in self._data))
+        return _matrix(self.rows, self.cols, _flip(self._num), self._den, self.field)
+
+    def rational(self):
+        """This matrix over ℚ when every entry is real, else itself.  Over
+        ℚ(i) an entry is real when the F-odd entries of its block are zero."""
+        if self.field == FIELD_Q:
+            return self
+        even = self._num[::2]
+        if any(any(row[1::2]) for row in even):
+            return self
+        # zero entries dropped keep each row in lowest terms
+        return _matrix(self.rows, self.cols, tuple(row[::2] for row in even), self._den[::2])
 
     def _check_same_shape(self, other):
         if self.field != other.field:
@@ -359,19 +395,13 @@ class Matrix:
             raise DimensionMismatch(f"{self.rows}x{self.cols} vs {other.rows}x{other.cols}")
 
 
-def _pattern(m: Matrix):
-    """Rows with the nonzero entries of ``m`` in place: the numerators over
-    ℚ, the entries over ℚ(i)."""
-    return m._num if m.field == FIELD_Q else m._data
-
-
 def _matmul_rational(a: Matrix, b: Matrix):
-    """Canonical rows ``(numerators, denominators)`` of A·B over ℚ, in
+    """Canonical stored rows ``(numerators, denominators)`` of A·B, in
     integers: row i of A is n_i/q_i and B is M/D in its common-denominator
     form (see ``Matrix._integer_form``), so row i of A·B is n_i·M/(q_i·D),
     summed over the nonzero entries only and reduced by one gcd.  A row
     of A whose only term is a 1 copies the row of B."""
-    ncols = b.cols
+    ncols = _BLOCK[b.field] * b.cols
     b_den, sparse = b._integer_form()
     b_num, b_dens = b._num, b._den
     zero_row = (0,) * ncols
@@ -550,20 +580,18 @@ class Subspace:
 def _hstack(a: Matrix, b: Matrix) -> Matrix:
     if a.rows != b.rows or a.field != b.field:
         raise DimensionMismatch("hstack shape mismatch")
-    cols = a.cols + b.cols
-    if a.field == FIELD_QI:
-        return _qi_matrix(a.rows, cols, tuple(ra + rb for ra, rb in zip(a._data, b._data)))
     pairs = []
     for ra, p, rb, q in zip(a._num, a._den, b._num, b._den):
         common = lcm(p, q)
         s, t = common // p, common // q
         pairs.append(_canonical([x * s for x in ra] + [x * t for x in rb], common))
-    return _q_pairs(a.rows, cols, pairs)
+    return _pairs(a.rows, a.cols + b.cols, pairs, a.field)
 
 
 def _leads(m: Matrix):
     """Column of the first nonzero entry of each (nonzero) row of ``m``."""
-    return [next(compress(count(), row)) for row in _pattern(m)]
+    k = _BLOCK[m.field]
+    return [next(compress(count(), row)) // k for row in m._num[::k]]
 
 
 def _spans(basis: Matrix, leads, rows: Matrix) -> bool:
@@ -577,37 +605,28 @@ def _spans(basis: Matrix, leads, rows: Matrix) -> bool:
 
 
 def kernel(m: Matrix) -> Subspace:
-    """Null space {v : m·v = 0}, canonical."""
+    """Null space {v : m·v = 0}, canonical.  Over ℚ(i) it is F of the ℚ
+    kernel of the stored rows (see the module docstring)."""
     reduced, pivots = m.rref()
-    n = m.cols
+    pivots = _stored(m, pivots)
+    n = _BLOCK[m.field] * m.cols
     pivot_set = set(pivots)
     free = [j for j in range(n) if j not in pivot_set]
-    if m.field == FIELD_Q:
-        # the vector of free column j is 1 at j and −R_r[j]/p_r at pivot r,
-        # for R_r the primitive RREF row with pivot entry p_r; over the lcm
-        # L of those p_r its numerators are integers
-        heads = list(zip(reduced._num, reduced._den, pivots))
-        pairs = []
-        for j in free:
-            terms = [(row[j], p, pc) for row, p, pc in heads if row[j]]
-            scale = lcm(*[p for _, p, _ in terms])
-            vec = [0] * n
-            vec[j] = scale
-            for x, p, pc in terms:
-                vec[pc] = -x * (scale // p)
-            pairs.append(_canonical(vec, scale))
-        basis = _q_pairs(len(free), n, pairs)
-    else:
-        zero, one = field_zero(m.field), field_one(m.field)
-        rows = []
-        for j in free:
-            vec = [zero] * n
-            vec[j] = one
-            for r, pc in enumerate(pivots):
-                vec[pc] = -reduced._data[r][j]
-            rows.append(tuple(vec))
-        basis = _qi_matrix(len(rows), n, tuple(rows))
-    return Subspace(n, basis, m.field)
+    # the vector of free column j is 1 at j and −R_r[j]/p_r at pivot r,
+    # for R_r the primitive RREF row with pivot entry p_r; over the lcm
+    # L of those p_r its numerators are integers
+    heads = list(zip(reduced._num, reduced._den, pivots))
+    pairs = []
+    for j in free:
+        terms = [(row[j], p, pc) for row, p, pc in heads if row[j]]
+        scale = lcm(*[p for _, p, _ in terms])
+        vec = [0] * n
+        vec[j] = scale
+        for x, p, pc in terms:
+            vec[pc] = -x * (scale // p)
+        pairs.append(_canonical(vec, scale))
+    basis = _pairs(len(free) // _BLOCK[m.field], m.cols, pairs, m.field)
+    return Subspace(m.cols, basis.conjugate(), m.field)
 
 
 def image(m: Matrix) -> Subspace:
@@ -661,15 +680,8 @@ class QuotientMap:
     def dim(self):
         return self.projection.rows
 
-    def project_vector(self, vector):
-        return self.projection.apply(vector)
-
     def project_subspace(self, s: Subspace) -> Subspace:
         return image_of(self.projection, s)
-
-    def lift_vector(self, coords):
-        """Representative in the ambient space of quotient coordinates."""
-        return self.section.transpose().apply(coords)
 
 
 def quotient_map(a: Subspace, b: Subspace) -> QuotientMap:
@@ -678,39 +690,34 @@ def quotient_map(a: Subspace, b: Subspace) -> QuotientMap:
     if not a.contains(b):
         raise InputError("quotient_map requires b ⊆ a")
     n, field = a.ambient_dim, a.field
-    integer = field == FIELD_Q
+    k = _BLOCK[field]
     # Extend b's basis greedily by rows of a, then by unit vectors, to a
     # full basis.  Each candidate is reduced against one running echelon
     # of everything accepted so far; it is accepted iff a remainder is left.
-    # Over ℚ the rows are integer rows (scaling keeps the span), cleared
-    # by cross-multiplication; over ℚ(i) each accepted row is scaled to 1
-    # at its pivot.
-    echelon = list(zip(_leads(b.basis), _pattern(b.basis)))
+    # The stored rows are integer rows (scaling keeps the span), cleared
+    # by cross-multiplication.  Over ℚ(i) a candidate is its row pair
+    # (φ(v), φ(iv)), and the span S accepted so far is stable under i: if
+    # φ(v) is independent of S, then φ(iv) is independent of S + ℚφ(v).
+    echelon = [(next(compress(count(), row)), row) for row in b.basis._num]
 
     def independent(vec):
-        vec = list(vec)
         for pivot, row in echelon:      # each row vanishes before its pivot
             c = vec[pivot]
             if c:
-                if integer:
-                    h = row[pivot]
-                    g = gcd(h, c)
-                    h, c = h // g, c // g
-                    vec = [h * x - c * y for x, y in zip(vec, row)]
-                else:
-                    for j in range(pivot, n):
-                        vec[j] -= c * row[j]
+                h = row[pivot]
+                g = gcd(h, c)
+                h, c = h // g, c // g
+                vec = [h * x - c * y for x, y in zip(vec, row)]
         pivot = next(compress(count(), vec), None)
         if pivot is not None:
-            if integer:
-                content = gcd(*vec)
-                echelon.append((pivot, [x // content for x in vec]))
-            else:
-                head = vec[pivot]
-                echelon.append((pivot, tuple(x / head for x in vec)))
+            content = gcd(*vec)
+            echelon.append((pivot, [x // content for x in vec]))
         return pivot is not None
 
-    section = a.basis._take([k for k, row in enumerate(_pattern(a.basis)) if independent(row)])
+    def accepted(m, r):
+        return all(independent(m._num[s]) for s in range(k * r, k * r + k))
+
+    section = a.basis._take([r for r in range(a.dim) if accepted(a.basis, r)])
     q = section.rows
     if _unit_rows(b.basis) and _unit_rows(section):
         # Completed by the missing unit vectors, the basis is a permutation
@@ -719,10 +726,10 @@ def quotient_map(a: Subspace, b: Subspace) -> QuotientMap:
     else:
         ident = Matrix.identity(n, field)
         extra = []
-        for j, unit in enumerate(_pattern(ident)):
-            if len(echelon) == n:
+        for j in range(n):
+            if len(echelon) == k * n:
                 break
-            if independent(unit):
+            if accepted(ident, j):
                 extra.append(j)
         full = b.basis.stack(section).stack(ident._take(extra))
         # Coordinates of a column vector v in the row basis: x = (fullᵗ)⁻¹ v.
@@ -731,9 +738,9 @@ def quotient_map(a: Subspace, b: Subspace) -> QuotientMap:
 
 
 def _unit_rows(m: Matrix):
-    """Each row has exactly one nonzero entry, and it is 1."""
-    dens = m._den if m.field == FIELD_Q else (1,) * m.rows
-    for row, den in zip(_pattern(m), dens):
+    """Each row has exactly one nonzero entry, and it is 1.  Over ℚ(i) the
+    stored rows are checked: the block of i is not two unit rows."""
+    for row, den in zip(m._num, m._den):
         nonzero = [x for x in row if x]
         if den != 1 or len(nonzero) != 1 or nonzero[0] != 1:
             return False

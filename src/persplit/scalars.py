@@ -2,8 +2,10 @@
 
 Rationals are ``fractions.Fraction`` (already normalized, arbitrary
 precision).  ``Gaussian`` models Q(i) with exact real/imaginary parts
-and conjugation.  Field tags ``FIELD_Q`` / ``FIELD_QI`` mark which field
-a matrix or subspace lives over.
+and conjugation; the engine stores a Q(i) matrix as integer rows (see
+``linalg``), so Gaussians appear only where entries are parsed, read or
+applied.  Field tags ``FIELD_Q`` / ``FIELD_QI`` mark which field a matrix
+or subspace lives over.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ FIELD_QI = "Q(i)"
 Rat = Fraction
 
 Q_ZERO = Fraction(0)
-Q_ONE = Fraction(1)
 
 
 class Gaussian:
@@ -116,7 +117,6 @@ class Gaussian:
 
 
 GI_ZERO = Gaussian(0)
-GI_ONE = Gaussian(1)
 GI_I = Gaussian(0, 1)
 
 
@@ -126,14 +126,6 @@ def _coerce(x):
     if isinstance(x, (int, Fraction)):
         return Gaussian(x)
     return NotImplemented
-
-
-def field_zero(field):
-    return Q_ZERO if field == FIELD_Q else GI_ZERO
-
-
-def field_one(field):
-    return Q_ONE if field == FIELD_Q else GI_ONE
 
 
 def as_field(value, field):
@@ -199,11 +191,3 @@ def parse_scalar(obj, field):
     if isinstance(obj, dict) and set(obj) <= {"re", "im"}:
         return Gaussian(parse_rational(obj.get("re", "0")), parse_rational(obj.get("im", "0")))
     raise ValueError(f"expected Gaussian scalar object, got {obj!r}")
-
-
-def format_scalar(value):
-    if isinstance(value, Gaussian):
-        if not value.im:
-            return format_rational(value.re)
-        return {"re": format_rational(value.re), "im": format_rational(value.im)}
-    return format_rational(value)

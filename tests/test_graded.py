@@ -123,7 +123,7 @@ def test_trivial_filtration_pieces_recover_space():
     assert gp.dim(0, 0) == 2
     # the quotient by the zero step is the identity chart
     q = gp.quotient(0, 0)
-    assert tuple(q.project_vector([3, -4])) == (3, -4)
+    assert tuple(q.projection.apply([3, -4])) == (3, -4)
 
 
 def test_induced_block_lives_two_steps_up():
@@ -155,8 +155,8 @@ def test_quotient_commutes_with_induced_operator():
             continue
         block = gp.e_block(d, i)
         for rep in q.section.data:
-            via_quotient = block.apply(q.project_vector(rep))
-            via_operator = tgt.project_vector(inst.eta.block(d).apply(rep))
+            via_quotient = block.apply(q.projection.apply(rep))
+            via_operator = tgt.projection.apply(inst.eta.block(d).apply(rep))
             assert tuple(via_quotient) == tuple(via_operator)
 
 

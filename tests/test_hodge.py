@@ -1,3 +1,5 @@
+import cProfile
+import pstats
 import random
 
 import pytest
@@ -18,6 +20,7 @@ from persplit.splitting import compute_splitting
 
 from hodge_oracle import oracle_is_hs_map, oracle_is_shs, oracle_mixed_pair, oracle_validate
 from oracle_helpers import frac_matrix, random_unimodular, weight_one_bigrading
+from test_replay import weight_one_tensor
 
 I = Gaussian(0, 1)
 
@@ -182,6 +185,31 @@ def test_quadric_cone_splitting_is_hodge_compatible():
     result = compute_splitting(inst)
     report = verify_hodge_splitting(inst, result)
     assert report.passed and len(report.checks) > 0
+
+
+def test_hodge_and_duality_checks_do_no_gaussian_arithmetic():
+    """ℚ(i) values stay integer rows of the realification inside the
+    engine: on the split model tensored with a weight-one H¹, whose odd
+    degrees hold conjugate pairs of pieces, the Hodge and duality checks
+    multiply, add and divide no ``Gaussian``."""
+    inst = weight_one_tensor()
+    result = compute_splitting(inst)
+    profile = cProfile.Profile()
+    profile.enable()
+    try:
+        report = verify_hodge_splitting(inst, result)
+        duality = duality_hs_check(inst, inst.pairing, inst.hodge)
+    finally:
+        profile.disable()
+    assert report.passed and duality.passed
+    assert not inst.hodge.is_hodge_tate()
+    # some degree was decided by a pair of operators R_pq, J_pq
+    assert any(len(ops) == 2 for d in inst.space.degrees
+               for ops in inst.hodge.decomposition(d).ops.values())
+    calls = {key[:3]: stat[1] for key, stat in pstats.Stats(profile).stats.items()}
+    for name in ("__mul__", "__add__", "__truediv__"):
+        code = getattr(Gaussian, name).__code__
+        assert calls.get((code.co_filename, code.co_firstlineno, code.co_name), 0) == 0, name
 
 
 def test_verification_requires_bigrading():

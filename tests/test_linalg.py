@@ -6,11 +6,19 @@ from hypothesis import example, given, settings, strategies as st
 from persplit.errors import DimensionMismatch, FieldMismatch, InputError
 from persplit.linalg import (Matrix, Subspace, image_of, kernel, preimage,
                              quotient_map, rref)
-from persplit.scalars import FIELD_Q, FIELD_QI, Gaussian, Rat, field_one, field_zero
+from persplit.scalars import FIELD_Q, FIELD_QI, GI_ZERO, Gaussian, Rat, as_field
 
 from oracle_helpers import frac_matrix
 from rref_oracle import oracle_rref_rows
-from test_backend import BIG_Q, RATIONALS
+from test_backend import BIG_Q, RATIONALS, SMALL_Q
+
+
+def field_zero(field):
+    return Rat(0) if field == FIELD_Q else GI_ZERO
+
+
+def field_one(field):
+    return Rat(1) if field == FIELD_Q else Gaussian(1)
 
 
 # --- reduced row echelon form ---------------------------------------------
@@ -208,9 +216,9 @@ def test_quotient_map_projects_and_lifts():
     assert q.dim == 2
     # section is a genuine right inverse
     for coords in ([1, 0], [0, 1], [2, -5]):
-        assert tuple(q.project_vector(q.lift_vector(coords))) == tuple(coords)
+        assert tuple(q.projection.apply(q.section.transpose().apply(coords))) == tuple(coords)
     # b dies in the quotient
-    assert not any(q.project_vector([1, 0, 0]))
+    assert not any(q.projection.apply([1, 0, 0]))
 
 
 def test_quotient_map_requires_containment():
@@ -414,14 +422,15 @@ def test_quotient_map_reads_a_permutation_basis_without_inverting(pair):
     assert q.projection.data == q.section.data
 
 
-# --- the integer form against a Fraction oracle --------------------------------
+# --- the integer form against a Fraction and a Gaussian oracle -----------------
 #
-# A ℚ matrix is stored as integer rows over positive denominators; these
-# properties compute every result again from the ``Fraction`` entries
-# alone, with the reference Gauss–Jordan oracle and triple loops.
+# A matrix is stored as integer rows over positive denominators, a ℚ(i)
+# matrix as the integer rows of its realification; these properties
+# compute every result again from the ``Fraction`` or ``Gaussian``
+# entries alone, with the reference Gauss–Jordan oracle and triple loops.
 
-def oracle_product(a_rows, b_rows, ncols):
-    return tuple(tuple(sum((x * b_rows[k][j] for k, x in enumerate(row)), Rat(0))
+def oracle_product(a_rows, b_rows, ncols, zero=Rat(0)):
+    return tuple(tuple(sum((x * b_rows[k][j] for k, x in enumerate(row)), zero)
                        for j in range(ncols)) for row in a_rows)
 
 
@@ -429,16 +438,55 @@ def oracle_rref(rows, ncols):
     return tuple(oracle_rref_rows(rows, ncols)[0])
 
 
-def oracle_kernel(rows, ncols):
+def oracle_kernel(rows, ncols, zero=Rat(0), one=Rat(1)):
     reduced, pivots = oracle_rref_rows(rows, ncols)
     vectors = []
     for j in (j for j in range(ncols) if j not in pivots):
-        vec = [Rat(0)] * ncols
-        vec[j] = Rat(1)
+        vec = [zero] * ncols
+        vec[j] = one
         for r, pc in enumerate(pivots):
             vec[pc] = -reduced[r][j]
         vectors.append(vec)
     return oracle_rref(vectors, ncols)
+
+
+def check_lattice_against_oracle(field, n, p, a_rows, b_rows, c_rows):
+    """Products, reductions, kernels, inverses and the subspace lattice of
+    the matrices of ``a_rows`` (m×n), ``b_rows`` (n×p) and ``c_rows`` (k×n)
+    over ``field``, each against the oracle on the same entries."""
+    zero, one = field_zero(field), field_one(field)
+    a = Matrix(len(a_rows), n, a_rows, field)
+    b = Matrix(n, p, b_rows, field)
+    c = Matrix(len(c_rows), n, c_rows, field)
+    assert a.data == a_rows and all(type(x) is type(zero) for row in a.data for x in row)
+    assert (a @ b).data == oracle_product(a_rows, b_rows, p, zero)
+    assert a.transpose().data == (tuple(zip(*a_rows)) if a_rows else ((),) * n)
+    assert a.stack(c).data == a_rows + c_rows
+    assert a.rref()[0].data == oracle_rref(a_rows, n)
+    assert kernel(a).basis.data == oracle_kernel(a_rows, n, zero, one)
+    s, t = Subspace(n, c), Subspace(n, a)
+    s_basis = oracle_rref(c_rows, n)
+    assert s.basis.data == s_basis
+    assert s.sum(t).basis.data == oracle_rref(c_rows + a_rows, n)
+    assert s.contains(t) == (len(oracle_rref(c_rows + a_rows, n)) == len(s_basis))
+    assert all(s.contains_vector(row) == (len(oracle_rref(c_rows + (row,), n)) == len(s_basis))
+               for row in a_rows)
+    # S ∩ T is cut out by the functionals vanishing on S or on T
+    assert s.intersect(t).basis.data == oracle_kernel(
+        oracle_kernel(c_rows, n, zero, one) + oracle_kernel(a_rows, n, zero, one), n, zero, one)
+    # {v ∈ S : A·v = 0} is X·S for X the kernel of A·Sᵀ
+    x = oracle_kernel(oracle_product(a_rows, tuple(zip(*s_basis)) if s_basis
+                                     else ((),) * n, len(s_basis), zero),
+                      len(s_basis), zero, one)
+    assert s.cut_by(a).basis.data == oracle_rref(oracle_product(x, s_basis, n, zero), n)
+    if len(a_rows) == n:
+        ident = tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+        reduced, pivots = oracle_rref_rows([row + e for row, e in zip(a_rows, ident)], 2 * n)
+        if pivots[:n] == list(range(n)):
+            assert a.inverse().data == tuple(row[n:] for row in reduced)
+        else:
+            with pytest.raises(InputError):
+                a.inverse()
 
 
 @st.composite
@@ -460,35 +508,69 @@ def rational_cases(draw):
 @example((3, 0, ((Rat(1, 999_983), 0, Rat(-5, 10**6)),) * 2, ((),) * 3, ()))
 @example((0, 2, (), (), ((),)))
 def test_integer_form_matches_fraction_oracle(case):
-    n, p, a_rows, b_rows, c_rows = case
-    a = Matrix(len(a_rows), n, a_rows)
-    b = Matrix(n, p, b_rows)
-    c = Matrix(len(c_rows), n, c_rows)
-    assert a.data == a_rows and all(type(x) is Rat for row in a.data for x in row)
-    assert (a @ b).data == oracle_product(a_rows, b_rows, p)
-    assert a.transpose().data == (tuple(zip(*a_rows)) if a_rows else ((),) * n)
-    assert a.stack(c).data == a_rows + c_rows
-    assert a.rref()[0].data == oracle_rref(a_rows, n)
-    assert kernel(a).basis.data == oracle_kernel(a_rows, n)
-    s, t = Subspace(n, c), Subspace(n, a)
-    s_basis = oracle_rref(c_rows, n)
-    assert s.basis.data == s_basis
-    assert s.sum(t).basis.data == oracle_rref(c_rows + a_rows, n)
-    assert s.contains(t) == (len(oracle_rref(c_rows + a_rows, n)) == len(s_basis))
-    assert all(s.contains_vector(row) == (len(oracle_rref(c_rows + (row,), n)) == len(s_basis))
-               for row in a_rows)
-    # {v ∈ S : A·v = 0} is X·S for X the kernel of A·Sᵀ
-    x = oracle_kernel(oracle_product(a_rows, tuple(zip(*s_basis)) if s_basis
-                                     else ((),) * n, len(s_basis)), len(s_basis))
-    assert s.cut_by(a).basis.data == oracle_rref(oracle_product(x, s_basis, n), n)
-    if len(a_rows) == n:
-        ident = tuple(tuple(Rat(int(i == j)) for j in range(n)) for i in range(n))
-        reduced, pivots = oracle_rref_rows([row + e for row, e in zip(a_rows, ident)], 2 * n)
-        if pivots[:n] == list(range(n)):
-            assert a.inverse().data == tuple(row[n:] for row in reduced)
-        else:
-            with pytest.raises(InputError):
-                a.inverse()
+    check_lattice_against_oracle(FIELD_Q, *case)
+
+
+PARTS = st.one_of(st.just(Rat(0)), st.just(Rat(0)), SMALL_Q, BIG_Q)
+NONZERO_PARTS = st.one_of(SMALL_Q, BIG_Q).filter(bool)
+
+
+@st.composite
+def gaussian_cases(draw):
+    """Gaussian entry rows of shapes m×n, n×p and k×n (each of m, n, p, k
+    in 0..4, so 0×n and n×0 occur).  A row is random, zero, a Gaussian
+    combination of earlier rows, or zero before a lead entry whose
+    imaginary part is nonzero, so that pivots fall on such entries."""
+    m, n, p, k = (draw(st.integers(0, 4)) for _ in range(4))
+
+    def entry():
+        return Gaussian(draw(PARTS), draw(PARTS))
+
+    def rows(r, c):
+        out = []
+        for _ in range(r):
+            kind = draw(st.sampled_from(("random", "zero", "combination", "imaginary lead")))
+            if kind == "zero":
+                out.append((GI_ZERO,) * c)
+            elif kind == "combination" and out:
+                u, v = (out[draw(st.integers(0, len(out) - 1))] for _ in range(2))
+                x, y = entry(), entry()
+                out.append(tuple(x * s + y * t for s, t in zip(u, v)))
+            else:
+                row = [entry() for _ in range(c)]
+                if kind == "imaginary lead" and c:
+                    lead = draw(st.integers(0, c - 1))
+                    row[:lead] = [GI_ZERO] * lead
+                    row[lead] = Gaussian(draw(PARTS), draw(NONZERO_PARTS))
+                out.append(tuple(row))
+        return tuple(out)
+    return n, p, rows(m, n), rows(n, p), rows(k, n)
+
+
+def gaussian_rows(*rows):
+    return tuple(tuple(as_field(x, FIELD_QI) for x in row) for row in rows)
+
+
+I = Gaussian(0, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(gaussian_cases())
+# rank one, the second row i times the first; a pivot at an imaginary entry
+@example((2, 2, gaussian_rows((I, 1), (1, -I)), gaussian_rows((1, I), (0, 2 + I)),
+          gaussian_rows((I, 0))))
+@example((3, 0, gaussian_rows((0, I, 1), (0, 0, 2 * I)), ((),) * 3, ()))
+@example((0, 2, (), (), ((),)))
+def test_gaussian_form_matches_gaussian_oracle(case):
+    check_lattice_against_oracle(FIELD_QI, *case)
+    n, _, a_rows, _, _ = case
+    a = Matrix(len(a_rows), n, a_rows, FIELD_QI)
+    assert a.conjugate().data == tuple(tuple(x.conj() for x in row) for row in a_rows)
+    assert a.conjugate().conjugate() == a
+    real = Matrix(len(a_rows), n, tuple(tuple(x.re for x in row) for row in a_rows))
+    assert real.complexify().data == tuple(tuple(Gaussian(x.re) for x in row) for row in a_rows)
+    assert real.complexify().rational() == real
+    assert a.rational() == (real if all(not x.im for row in a_rows for x in row) else a)
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,8 +1,10 @@
 import pytest
 from fractions import Fraction
 
+from persplit.fileformat import matrix_record
+from persplit.linalg import Matrix
 from persplit.scalars import (FIELD_Q, FIELD_QI, Gaussian, as_field,
-                              format_ratio, format_rational, format_scalar, parse_rational,
+                              format_ratio, format_rational, parse_rational,
                               parse_scalar)
 
 
@@ -92,12 +94,12 @@ def test_parse_rational_reads_noncanonical_spellings():
 
 def test_scalar_serialization_both_fields():
     assert parse_scalar("2/3", FIELD_Q) == Fraction(2, 3)
-    assert format_scalar(Fraction(2, 3)) == "2/3"
+    assert matrix_record(Matrix(1, 1, [[Fraction(2, 3)]]), {}) == [["2/3"]]
     g = parse_scalar({"re": "1/2", "im": "-3"}, FIELD_QI)
     assert g == Gaussian(Fraction(1, 2), -3)
-    assert format_scalar(g) == {"re": "1/2", "im": "-3"}
     # real Gaussians serialize as plain strings
-    assert format_scalar(Gaussian(4, 0)) == "4"
+    assert matrix_record(Matrix(1, 2, [[g, Gaussian(4, 0)]], FIELD_QI), {}) == \
+        [[{"re": "1/2", "im": "-3"}, "4"]]
     assert parse_scalar("4", FIELD_QI) == Gaussian(4, 0)
     with pytest.raises(ValueError):
         parse_scalar(1.5, FIELD_Q)
