@@ -251,9 +251,9 @@ def _suite_one(seed, profile):
     verdicts = {}
     ri = random_instance(seed, profile)
     inst = ri.instance
-    # The schedule checks its own containments, the schedule/direct
-    # comparison checks that two cut orders agree, and assembly
-    # proves the result by uniqueness (all three raise on failure).
+    # The schedule checks its own containments, the certificate proves
+    # each E canonical and assembly checks the summands (all three raise
+    # on failure); the verdict keeps its name, a fixed key of the report.
     result = compute_splitting(inst)
     verdicts["two-path agreement and assembly"] = True
     expected = apply_graded_auto(ri.twist, ri.truth.summands)

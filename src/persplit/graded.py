@@ -225,22 +225,27 @@ def validate_filtration(space: GradedSpace, filtr: Filtration) -> FiltrationRepo
 
 
 def check_strict_compatibility(filtr: Filtration, eta: GradedMap):
-    """η(W_{≤i}V^d) ⊆ W_{≤i+2}V^{d+2} for all (d, i); witness on failure."""
+    """η(W_{≤i}V^d) ⊆ W_{≤i+2}V^{d+2} for all (d, i), one containment
+    product per step; witness on failure."""
     if eta.shift != 2:
         raise InputError(f"operator must have degree 2, got {eta.shift}")
     space = filtr.space
     for d in space.degrees:
-        if space.dim(d + 2) == 0 and eta.block(d).is_zero():
+        if space.dim(d + 2) == 0:
             continue
+        block = eta.block(d)
         for i in filtr.jumps(d):
             src = filtr.at(d, i)
             if src.is_zero():
                 continue
-            img = image_of(eta.block(d), src)
-            tgt = filtr.at(d + 2, i + 2) if space.dim(d + 2) else Subspace.zero(0, filtr.field)
-            if not tgt.contains(img):
+            tgt = filtr.at(d + 2, i + 2)
+            if tgt.is_full():
+                continue
+            # row j of the images is η of basis row j of the step
+            images = block.transpose() if src.is_full() else src.basis @ block.transpose()
+            if not tgt.contains_rows(images):
                 witness = next(row for row in src.basis.data
-                               if not tgt.contains_vector(eta.block(d).apply(row)))
+                               if not tgt.contains_vector(block.apply(row)))
                 return False, (d, i, witness)
     return True, None
 

@@ -88,7 +88,12 @@ def require_hard_lefschetz(gp: GradedPieces):
 
 
 def primitives(gp: GradedPieces) -> PrimitiveTable:
-    """P^{−i,d} = Ker(e^{i+1} : Gr_{−i}V^d → Gr_{i+2}V^{d+2(i+1)})."""
+    """P^{−i,d} = Ker(e^{i+1} : Gr_{−i}V^d → Gr_{i+2}V^{d+2(i+1)}), computed
+    once per ``gp`` (kept in its ``_memo``)."""
+    return memoized(gp._memo, ("primitives",), lambda: _primitive_table(gp))
+
+
+def _primitive_table(gp: GradedPieces) -> PrimitiveTable:
     require_hard_lefschetz(gp)
     table = {}
     for (d, mi) in gp.slots:

@@ -500,8 +500,18 @@ class Subspace:
         vector = tuple(vector)
         if len(vector) != self.ambient_dim:
             raise DimensionMismatch("vector/ambient mismatch")
-        vec = Matrix(1, self.ambient_dim, (vector,), self.field)
-        return _spans(self.basis, _leads(self.basis), vec)
+        return self.contains_rows(Matrix(1, self.ambient_dim, (vector,), self.field))
+
+    def contains_rows(self, rows: Matrix) -> bool:
+        """True iff every row of ``rows``, any matrix of this width, lies
+        in the subspace: one product against the canonical basis."""
+        if rows.cols != self.ambient_dim:
+            raise DimensionMismatch(f"rows of width {rows.cols} vs ambient {self.ambient_dim}")
+        if rows.field != self.field:
+            raise FieldMismatch(f"{rows.field} vs {self.field}")
+        if self.is_full():
+            return True
+        return _spans(self.basis, _leads(self.basis), rows)
 
     def contains(self, other: "Subspace") -> bool:
         self._check_compatible(other)

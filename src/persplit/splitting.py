@@ -2,28 +2,31 @@
 
 ``psi_schedule`` computes the embedded primitive subspace E^{−i,d} by
 the iterated-kernel schedule and checks its containments
-η^{i+t}(S_{t−1}) ⊆ W_{≤i+t} itself, raising ``ContainmentViolation``;
-``direct_characterization`` computes the same space in one pass from the
-strong-primitivity conditions η^s·E ⊆ W_{≤s−1} for s > i.  Both cut
-W_{≤−i}V^d by the instance's cached constraint rows (``inst.cut_rows``),
-each cut one kernel on the current basis: the schedule by one row block
-per step, the direct characterization by all blocks stacked.  On shared
-rows their results are equal as sets, so comparing them only checks that
-the two cut orders agree; it is not an independent computation.  The
-result is proved by ``assemble``: a direct sum that rebuilds W and
-projects onto the primitives determines E uniquely.  Independent
-evidence comes from the orthogonal path in ``duality``.
+η^{i+t}(S_{t−1}) ⊆ W_{≤i+t} itself, raising ``ContainmentViolation``.
+Each step cuts by the instance's cached constraint rows
+(``inst.cut_rows``), one kernel on the current basis.
+``certify_slot`` then proves the result canonical.  By products and
+dimension counts alone it checks that E lies in W_{≤−i}, meets the
+strong-primitivity conditions η^s·E ⊆ W_{≤s−1} for s > i and has the
+dimension of the primitives; it reads neither the cut rows nor any
+kernel, and only the canonical E passes.
+``direct_characterization`` forms the same space in one cut by all the
+stacked rows; it is a library function, not a step of the pipeline.
+``assemble`` builds the summands G_k V^d and checks that they are direct,
+rebuild W and project onto the primitives.  Every lift of the
+primitives passes those checks, so they do not single out E.
+More independent evidence comes from the orthogonal path in ``duality``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
-from .errors import AssemblyFailure, ContainmentViolation, VerificationFailure
+from .errors import AssemblyFailure, ContainmentViolation, EngineDefect, VerificationFailure
 from .instance import PerverseLefschetzInstance
 from .lefschetz import primitives, require_hard_lefschetz
-from .linalg import Subspace
-from .scalars import FIELD_Q
+from .linalg import Matrix, Subspace
 
 
 @dataclass(frozen=True)
@@ -92,13 +95,57 @@ def direct_characterization(inst: PerverseLefschetzInstance, i: int, d: int) -> 
         inst.cut_rows(d, s, s - 1) for s in range(i + 1, inst.amplitude + 1)])
 
 
+def certify_slot(inst: PerverseLefschetzInstance, i: int, d: int, e_sub: Subspace):
+    """Check that ``e_sub`` is E^{−i,d}, with products and dimensions only:
+
+    (a) E ⊆ W_{≤−i}V^d;
+    (b) η^s E ⊆ W_{≤s−1}V^{d+2s} for i < s ≤ r, by one product E·(η^s)ᵀ
+        against the canonical basis of that step;
+    (c) dim E = dim P^{−i,d}.
+
+    Why this proves E canonical: let C be the set of v ∈ V^d that satisfy
+    (a) and (b).  If v ∈ C lies in W_{≤−j} for some j > i, then
+    η^j v ∈ W_{≤j−1}, so e^j[v] = 0 in Gr_j and, by hard Lefschetz,
+    [v] = 0 in Gr_{−j}; so v ∈ W_{≤−j−1}, and by descent v = 0.  Hence C
+    meets W_{≤−i−1} only in 0, and the projection to Gr_{−i} embeds C in
+    the primitives (η^{i+1}v ∈ W_{≤i} gives e^{i+1}[v] = 0), so
+    dim C ≤ dim P^{−i,d}.  (a)–(c) put E inside C with dim E = dim P^{−i,d},
+    so E = C: the unique lift that the strong-primitivity conditions
+    single out.  Hard Lefschetz is checked first, so only an engine fault
+    can fail the certificate; a failure raises ``EngineDefect`` naming the
+    slot and, for (b), the power s.
+    """
+    require_hard_lefschetz(inst.pieces)
+    where = f"canonical-lift certificate fails at (i={i}, d={d})"
+    if not inst.filtration.at(d, -i).contains(e_sub):
+        raise EngineDefect(f"{where}: E ⊄ W_≤{-i}V^{d}")
+    # a zero E meets (b) with nothing to multiply
+    for s in range(i + 1, inst.amplitude + 1) if e_sub.dim else ():
+        # row j of the product is η^s of basis row j of E
+        images = e_sub.basis @ inst.eta.power_block(d, s).transpose()
+        if not inst.filtration.at(d + 2 * s, s - 1).contains_rows(images):
+            raise EngineDefect(f"{where}, s={s}: η^{s}E ⊄ W_≤{s - 1}V^{d + 2 * s}")
+    prim = primitives(inst.pieces).get(i, d)
+    prim_dim = prim.dim if prim is not None else 0
+    if e_sub.dim != prim_dim:
+        raise EngineDefect(f"{where}: dim E = {e_sub.dim}, dim P^(-{i},{d}) = {prim_dim}")
+
+
 def assemble(inst: PerverseLefschetzInstance, embedded: dict,
              schedule: dict | None = None) -> SplittingResult:
-    """Assemble G_k V^d = Σ_j η^j(E^{−(2j−k),d−2j}) and verify the result.
+    """Assemble G_k V^d = ⊕_j η^j(E^{−(2j−k),d−2j}) and check the result.
 
-    Checks: the sum is direct; the partial sums rebuild the filtration;
-    each E^{−i,d} projects isomorphically onto the primitive P^{−i,d}.
-    Raises ``AssemblyFailure`` on the first violated check.
+    Each G_k V^d is one RREF of the stacked rows E·(η^j)ᵀ; its rank equal
+    to Σ dim E shows that the sum is direct and that each η^j is
+    injective on its E.  In each degree, each G_k lies in W_{≤k}, the
+    running dims Σ_{k′≤k} dim G_k′ equal dim W_{≤k}, and all the G_k
+    together have rank dim V^d.  Then the whole sum is direct, so each
+    partial sum ⊕_{k′≤k} G_k′ lies in W_{≤k} with its dimension and equals
+    it.  Last, each E^{−i,d} projects isomorphically onto the primitive
+    P^{−i,d}.  Every lift of the primitives (any E ⊆ W_{≤−i} that projects
+    onto P^{−i,d}) passes these checks, so they do not single out the
+    canonical E; ``certify_slot`` does.  Raises ``AssemblyFailure`` on the
+    first violated check.
     """
     gp = inst.pieces
     prims = primitives(gp)
@@ -110,35 +157,34 @@ def assemble(inst: PerverseLefschetzInstance, embedded: dict,
         n = inst.space.dim(d)
         by_k = {}
         for k in range(min(grades, default=0) - 1, max(grades, default=0) + 1):
-            pieces = []
-            total = 0
+            rows, dims = [], []
             j = max(0, k)
             while 2 * j - k <= max_i:
-                i = 2 * j - k
-                e_sub = embedded.get((i, d - 2 * j))
+                e_sub = embedded.get((2 * j - k, d - 2 * j))
                 if e_sub is not None and e_sub.dim:
-                    pieces.append(inst.eta_image(d - 2 * j, j, e_sub))
-                    total += e_sub.dim
+                    rows.append(e_sub.basis if j == 0 else
+                                e_sub.basis @ inst.eta.power_block(d - 2 * j, j).transpose())
+                    dims.append(e_sub.dim)
                 j += 1
-            acc = Subspace.zero(n, FIELD_Q)
-            for piece in pieces:
-                acc = acc.sum(piece)
-            if acc.dim != total:
+            if not rows:
+                continue
+            g_k = Subspace(n, reduce(Matrix.stack, rows))
+            if g_k.dim != sum(dims):
                 raise AssemblyFailure(f"G_{k} V^{d} summands not independent",
-                                      f"dims {[p.dim for p in pieces]} sum to {acc.dim}")
-            if acc.dim:
-                by_k[k] = acc
-        running = Subspace.zero(n, FIELD_Q)
+                                      f"dims {dims} sum to {g_k.dim}")
+            by_k[k] = g_k
+        running = 0
         for k in sorted(by_k):
-            running = running.sum(by_k[k])
             expected = inst.filtration.at(d, k)
-            if running != expected:
+            running += by_k[k].dim
+            if running != expected.dim or not expected.contains(by_k[k]):
                 raise AssemblyFailure(
                     f"partial sum ⊕_{{k'≤{k}}} G_k' V^{d} ≠ W_{{≤{k}}}V^{d}",
-                    f"dims {running.dim} vs {expected.dim}")
-        if running.dim != n:
-            raise AssemblyFailure(f"G summands do not span V^{d}",
-                                  f"dim {running.dim} of {n}")
+                    f"dims {running} vs {expected.dim}")
+        rank = Subspace(n, reduce(Matrix.stack, [g.basis for g in by_k.values()],
+                                  Matrix.zero(0, n))).dim
+        if rank != n:
+            raise AssemblyFailure(f"G summands do not span V^{d}", f"dim {rank} of {n}")
         for k, sub in by_k.items():
             summands[(k, d)] = sub
         checks.append((f"direct sum and filtration match in degree {d}", True, ""))
@@ -161,20 +207,15 @@ def assemble(inst: PerverseLefschetzInstance, embedded: dict,
 
 
 def compute_splitting(inst: PerverseLefschetzInstance) -> SplittingResult:
-    """Full pipeline: the schedule (which checks its own containments) and
-    the direct characterization on every slot, compared (on shared cut
-    rows this only checks that the two cut orders agree), then
-    ``assemble``, whose checks prove the result by uniqueness."""
+    """Full pipeline: on every slot the schedule, which checks its own
+    containments, and ``certify_slot``, which proves its result canonical;
+    then ``assemble``, which builds and checks the summands G_k V^d."""
     require_hard_lefschetz(inst.pieces)   # validates the filtration before slot_list reads it
     embedded, schedule = {}, {}
     for (i, d) in slot_list(inst):
-        via_psi, steps = psi_schedule(inst, i, d)
-        via_direct = direct_characterization(inst, i, d)
-        if via_psi != via_direct:
-            raise VerificationFailure(
-                f"schedule and direct characterizations disagree at (i={i}, d={d}): "
-                f"dims {via_psi.dim} vs {via_direct.dim}")
-        embedded[(i, d)] = via_psi
+        e_sub, steps = psi_schedule(inst, i, d)
+        certify_slot(inst, i, d, e_sub)
+        embedded[(i, d)] = e_sub
         schedule[(i, d)] = steps
     return assemble(inst, embedded, schedule)
 

@@ -142,3 +142,31 @@ def random_unimodular(rng, n, bound=2):
                   for c in range(n)] for r in range(n)]
         m = Matrix.from_rows(shear, n) @ m
     return m
+
+
+def oracle_summands(inst, embedded):
+    """G_k V^d rebuilt one image at a time: each η^j(E^{−(2j−k),d−2j}) as
+    its own subspace, added to G_k only if the sum stays direct, and the
+    running sum of the G_k equal to W_{≤k}V^d at every nonzero G_k."""
+    summands = {}
+    grades = [k for (_, k) in inst.pieces.slots]
+    max_i = max((i for (i, _) in embedded), default=0)
+    for d in inst.space.degrees:
+        n = inst.space.dim(d)
+        running = Subspace.zero(n)
+        for k in range(min(grades) - 1, max(grades) + 1):
+            g_k = Subspace.zero(n)
+            for j in range(max(0, k), (k + max_i) // 2 + 1):
+                e_sub = embedded.get((2 * j - k, d - 2 * j))
+                if e_sub is None:
+                    continue
+                piece = image_of(inst.eta.power_block(d - 2 * j, j), e_sub)
+                assert piece.dim == e_sub.dim
+                assert g_k.sum(piece).dim == g_k.dim + piece.dim
+                g_k = g_k.sum(piece)
+            if g_k.dim:
+                running = running.sum(g_k)
+                assert running == inst.filtration.at(d, k)
+                summands[(k, d)] = g_k
+        assert running.is_full()
+    return summands

@@ -11,12 +11,13 @@ from persplit.graded import (Filtration, GradedMap, GradedSpace, _power_ladder,
                              nilpotency_order, validate_filtration,
                              weight_filtration)
 from persplit.instance import PerverseLefschetzInstance
+from persplit.lefschetz import StringSpec, build_split_model
 from persplit.linalg import Matrix, Subspace, kernel, preimage
 from persplit.scalars import FIELD_Q, FIELD_QI, Gaussian, Rat
 
 from oracle_helpers import (enumerate_axiom_filtrations, frac_matrix,
-                            random_nilpotent, small_subspace_lattice,
-                            weight_axioms_hold)
+                            random_nilpotent, random_unimodular,
+                            small_subspace_lattice, weight_axioms_hold)
 from test_backend import SMALL_Q
 from weight_oracle import oracle_weight_filtration
 
@@ -103,6 +104,31 @@ def test_strict_compatibility_witness_in_a_non_coordinate_basis():
         graded_pieces(space, filtr, eta)
     assert str(exc.value) == ("operator not compatible with filtration at (d=0, i=0); "
                               "witness (Fraction(0, 1), Fraction(1, 1), Fraction(2, 1))")
+
+
+def test_strict_compatibility_witness_after_a_base_change():
+    # A seeded unimodular base change g of a split model moves W_{≤−2}V^0 to
+    # the RREF rows (1, 0, 1), (0, 1, 1) and W_{≤0}V^2 to (1, 0, −1),
+    # (0, 1, 0).  Bending gηg⁻¹ on V^0 by x·f, with x = (0, 0, 1) outside
+    # W_{≤0}V^2 and f = (0, 1, 0) zero on the first row only, moves the
+    # second row's image out of W_{≤0}V^2: the witness is that row.
+    inst, _ = build_split_model(StringSpec(((2, 0, 2), (1, 0, 1))))
+    rng = random.Random(4)
+    g = {d: random_unimodular(rng, inst.space.dim(d)) for d in inst.space.degrees}
+    filtr = Filtration(inst.space, {(d, i): Subspace(sub.ambient_dim, sub.basis @ g[d].transpose())
+                                    for (d, i), sub in inst.filtration.steps.items()})
+    assert filtr.at(0, -2) == Subspace.span([[1, 0, 1], [0, 1, 1]], 3)
+    assert filtr.at(2, 0) == Subspace.span([[1, 0, -1], [0, 1, 0]], 3)
+    blocks = {d: g[d + 2] @ blk @ g[d].inverse() for d, blk in inst.eta.blocks.items()}
+    assert check_strict_compatibility(filtr, GradedMap(2, blocks, inst.space)) == (True, None)
+    blocks[0] = blocks[0] + frac_matrix([[0, 0, 0], [0, 0, 0], [0, 1, 0]])
+    eta = GradedMap(2, blocks, inst.space)
+    ok, witness = check_strict_compatibility(filtr, eta)
+    assert not ok and witness == (0, -2, (Rat(0), Rat(1), Rat(1)))
+    with pytest.raises(VerificationFailure) as exc:
+        graded_pieces(inst.space, filtr, eta)
+    assert str(exc.value) == ("operator not compatible with filtration at (d=0, i=-2); "
+                              "witness (Fraction(0, 1), Fraction(1, 1), Fraction(1, 1))")
 
 
 # --- graded pieces ---------------------------------------------------------

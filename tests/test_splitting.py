@@ -4,18 +4,22 @@ from fractions import Fraction
 
 import pytest
 
-from persplit import cli, fileformat, lefschetz
-from persplit.corpus import canonical_lifts, quadric_cone, random_instance
-from persplit.errors import AssemblyFailure, ContainmentViolation, VerificationFailure
+from persplit import cli, fileformat, lefschetz, splitting
+from persplit.corpus import (GeneratorProfile, canonical_lifts, quadric_cone,
+                             random_instance)
+from persplit.errors import (AssemblyFailure, ContainmentViolation, EngineDefect,
+                             VerificationFailure)
 from persplit.fileformat import save
 from persplit.graded import GradedMap
 from persplit.instance import PerverseLefschetzInstance
 from persplit.lefschetz import (StringSpec, apply_graded_auto, build_split_model,
                                 check_hard_lefschetz, twist_model)
 from persplit.linalg import Subspace, image_of, kernel
-from persplit.splitting import (assemble, compute_splitting,
+from persplit.splitting import (assemble, certify_slot, compute_splitting,
                                 direct_characterization, eta_commutation_check,
                                 psi_schedule, slot_list)
+
+from oracle_helpers import oracle_summands
 
 
 def quadric_split(m):
@@ -210,6 +214,90 @@ def test_split_reports_the_schedule_witness(capsys, monkeypatch, tmp_path):
                             f"step t=2; witness {SCHEDULE_WITNESS}\n")
 
 
+# --- the canonical-lift certificate -----------------------------------------
+
+def split_sparse_model(length, mult, seed=11):
+    """Strings (i, 2L − i − 2s, mult) for i ≤ L and s ∈ {0, 1}, twisted with
+    bound 3."""
+    entries = tuple((i, 2 * length - i - 2 * s, mult)
+                    for i in range(length + 1) for s in (0, 1))
+    return twist_model(build_split_model(StringSpec(entries))[0], seed, 3)[0]
+
+
+def wrong_lifts():
+    """(instance, result, slot, E + w) for every slot (i, d) and every
+    basis row w of W_{≤−i−1}V^d, w added to E's first basis row: another
+    lift of the same primitives, which breaks strong primitivity."""
+    for length, mult in ((3, 2), (4, 1), (6, 1)):
+        inst = split_sparse_model(length, mult)
+        result = compute_splitting(inst)
+        for (i, d), e_sub in sorted(result.embedded.items()):
+            if not e_sub.dim:
+                continue
+            rows = [list(row) for row in e_sub.basis.data]
+            for w in inst.filtration.at(d, -i - 1).basis.data:
+                lifted = [[a + b for a, b in zip(rows[0], w)]] + rows[1:]
+                yield inst, result, (i, d), Subspace.span(lifted, e_sub.ambient_dim)
+
+
+def test_assembly_accepts_every_wrong_lift_and_the_certificate_rejects_it():
+    count = 0
+    for inst, result, (i, d), wrong in wrong_lifts():
+        assert wrong != result.embedded[(i, d)]
+        certify_slot(inst, i, d, result.embedded[(i, d)])
+        assemble(inst, {**result.embedded, (i, d): wrong})
+        with pytest.raises(EngineDefect) as exc:
+            certify_slot(inst, i, d, wrong)
+        assert str(exc.value).startswith(
+            f"canonical-lift certificate fails at (i={i}, d={d}), s=")
+        count += 1
+    assert count == 17
+
+
+def test_split_exits_3_on_a_wrong_lift(capsys, monkeypatch, tmp_path):
+    inst, _, slot, wrong = next(wrong_lifts())
+    path = tmp_path / "twisted.json"
+    save(inst, path)
+    schedule = splitting.psi_schedule
+
+    def wrong_schedule(inst, i, d):
+        e_sub, steps = schedule(inst, i, d)
+        return (wrong if (i, d) == slot else e_sub), steps
+
+    monkeypatch.setattr(splitting, "psi_schedule", wrong_schedule)
+    code = cli.main(["split", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3 and not captured.out
+    assert captured.err == ("engine defect: canonical-lift certificate fails at "
+                            "(i=0, d=4), s=2: η^2E ⊄ W_≤1V^8\n")
+
+
+def test_certificate_catches_a_corrupted_cut_that_both_cut_orders_read():
+    # Slot (2, 0) of the twisted model has E = ⟨(1, −1)⟩ and
+    # W_{≤−3}V^0 = ⟨(1, 0)⟩.  Cached as the rows of the last cut
+    # η⁴v ∈ W_{≤3}V^8, the annihilator of the wrong lift ⟨(2, −1)⟩ makes
+    # the schedule and the one-pass characterization agree on that lift.
+    inst = twisted_model()
+    assert compute_splitting(twisted_model()).embedded[(2, 0)] == Subspace.span([[1, -1]], 2)
+    wrong = Subspace.span([[2, -1]], 2)
+    inst._memo[("cut_rows", 0, 4, 3)] = wrong.annihilator().basis
+    assert psi_schedule(inst, 2, 0)[0] == direct_characterization(inst, 2, 0) == wrong
+    with pytest.raises(EngineDefect) as exc:
+        compute_splitting(inst)
+    assert str(exc.value) == ("canonical-lift certificate fails at (i=2, d=0), s=4: "
+                              "η^4E ⊄ W_≤3V^8")
+
+
+def test_assembled_summands_match_the_image_by_image_oracle():
+    instances = [split_sparse_model(length, mult, seed)
+                 for length, mult in ((3, 2), (4, 1), (6, 1)) for seed in (0, 11)]
+    instances += [random_instance(seed, profile).instance for seed in range(20)
+                  for profile in (GeneratorProfile(), GeneratorProfile(with_pairing=True))]
+    for inst in instances:
+        result = compute_splitting(inst)
+        assert result.summands == oracle_summands(inst, result.embedded)
+
+
 def test_containment_violation_carries_slot_data():
     exc = ContainmentViolation(1, 2, 3, (Fraction(1), Fraction(0)))
     assert (exc.i, exc.d, exc.t) == (1, 2, 3)
@@ -231,8 +319,8 @@ def test_quadric_commutation_report():
 
 
 def test_eta_images_are_per_subspace():
-    # assembly and the commutation check share η^j(E); another subspace of
-    # the same degree must never read E's image
+    # the commutation check reads η^j(E) more than once; another subspace
+    # of the same degree must never read E's image
     inst, result = quadric_split(1)
     e_sub = result.embedded[(1, 2)]
     first = inst.eta_image(2, 1, e_sub)
@@ -297,3 +385,27 @@ def test_splitting_builds_no_fractions(tmp_path):
     new = Fraction.__new__.__code__
     calls = {key[:3]: stat[1] for key, stat in pstats.Stats(profile).stats.items()}
     assert calls.get((new.co_filename, new.co_firstlineno, new.co_name), 0) == 0
+
+
+def test_splitting_runs_no_direct_pass_and_no_sums():
+    """The certificate replaces the one-pass characterization, and
+    assembly stacks rows instead of adding subspaces: ``compute_splitting``
+    on a twisted model calls neither ``direct_characterization`` nor
+    ``Subspace.sum``, and forms the primitives once."""
+    inst = twisted_model()
+    profile = cProfile.Profile()
+    profile.enable()
+    try:
+        compute_splitting(inst)
+    finally:
+        profile.disable()
+    calls = {key[:3]: stat[1] for key, stat in pstats.Stats(profile).stats.items()}
+
+    def count(function):
+        code = function.__code__
+        return calls.get((code.co_filename, code.co_firstlineno, code.co_name), 0)
+
+    assert count(psi_schedule) == len(slot_list(inst))
+    assert count(lefschetz._primitive_table) == 1
+    assert count(direct_characterization) == 0
+    assert count(Subspace.sum) == 0
