@@ -167,8 +167,8 @@ def duality_hs_check(inst: PerverseLefschetzInstance, pairing: IntersectionPairi
                      bigrading: HodgeBigrading) -> DualityHSReport:
     """Piece (p,q) of V^d may pair nontrivially only with (n−p, n−q) of
     V^{2n−d}.  Decided by the bigrading's operators; the pieces are searched
-    only to name a failing pair, or when some degree's pieces are not a
-    basis."""
+    only to name a failing pair, or when some degree has no operators (its
+    pieces are not a basis swapped by conjugation)."""
     if not pairing.is_nondegenerate():
         raise PreconditionFailure("pairing is degenerate")
     n = pairing.center

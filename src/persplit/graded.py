@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 from .errors import InputError, VerificationFailure
 from .linalg import Matrix, QuotientMap, Subspace, image_of, quotient_map
-from .scalars import FIELD_Q
 
 
 _MISSING = object()
@@ -22,9 +21,8 @@ def memoized(memo: dict, key, compute):
     """``memo[key]``, set to ``compute()`` on first use.  Each immutable
     object that derives values from itself owns one such dict, its
     ``_memo``, keyed by the accessor's name and arguments; a derived value
-    stays valid for as long as its owner lives.  (``lefschetz`` keeps its
-    hard Lefschetz reports in a dict keyed weakly by the pieces.)  A hit
-    hashes the key once."""
+    stays valid for as long as its owner lives.  A hit hashes the key
+    once."""
     value = memo.get(key, _MISSING)
     if value is _MISSING:
         value = memo[key] = compute()
@@ -137,9 +135,9 @@ class Filtration:
     subspace below the lowest jump and to the highest stored step above.
     """
 
-    __slots__ = ("space", "steps", "field", "_jumps")
+    __slots__ = ("space", "steps", "_jumps")
 
-    def __init__(self, space: GradedSpace, steps, field=FIELD_Q):
+    def __init__(self, space: GradedSpace, steps):
         norm, jumps = {}, {}
         for (d, i), sub in steps.items():
             d, i = int(d), int(i)
@@ -149,7 +147,6 @@ class Filtration:
             jumps.setdefault(d, []).append(i)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "steps", norm)
-        object.__setattr__(self, "field", field)
         object.__setattr__(self, "_jumps", {d: sorted(js) for d, js in jumps.items()})
 
     def __setattr__(self, name, value):
@@ -164,11 +161,11 @@ class Filtration:
             # No steps recorded for this degree: degenerate full at all i ≥ 0
             # only if the degree is absent; a present degree must have steps.
             if self.space.dim(d) == 0:
-                return Subspace.zero(0, self.field)
+                return Subspace.zero(0)
             raise InputError(f"no filtration steps recorded for degree {d}")
         k = bisect_right(stored, i)
         if not k:
-            return Subspace.zero(self.space.dim(d), self.field)
+            return Subspace.zero(self.space.dim(d))
         return self.steps[(d, stored[k - 1])]
 
     def __eq__(self, other):
@@ -203,7 +200,7 @@ def validate_filtration(space: GradedSpace, filtr: Filtration) -> FiltrationRepo
         if not stored:
             errors.append(f"degree {d}: no filtration steps")
             continue
-        prev = Subspace.zero(n, filtr.field)
+        prev = Subspace.zero(n)
         prev_i = None
         for i in stored:
             cur = filtr.steps[(d, i)]
@@ -253,8 +250,7 @@ def check_strict_compatibility(filtr: Filtration, eta: GradedMap):
 class GradedPieces:
     """Quotients Gr_i V^d with recorded bases and the induced operator blocks."""
 
-    __slots__ = ("space", "filtration", "eta", "quotients", "report", "_memo",
-                 "__weakref__")   # a key of lefschetz's hard Lefschetz memo
+    __slots__ = ("space", "filtration", "eta", "quotients", "report", "_memo")
 
     def __init__(self, space, filtration, eta, quotients, report):
         object.__setattr__(self, "space", space)
@@ -278,27 +274,15 @@ class GradedPieces:
         q = self.quotients.get((d, i))
         return q.dim if q else 0
 
-    def e_block(self, d, i) -> Matrix:
-        """Induced block Gr_i V^d → Gr_{i+2} V^{d+2}."""
-        src = self.quotients.get((d, i))
-        tgt_dim = self.dim(d + 2, i + 2)
-        if src is None:
-            return Matrix.zero(tgt_dim, 0)
-        if tgt_dim == 0:
-            return Matrix.zero(0, src.dim)
-        tgt = self.quotients[(d + 2, i + 2)]
-        return tgt.projection @ self.eta.block(d) @ src.section.transpose()
-
     def e_power_block(self, d, i, s) -> Matrix:
-        """Induced block Gr_i V^d → Gr_{i+2s} V^{d+2s} of e^s, computed once
-        per (d, i, s) from the cached one-step blocks."""
+        """Induced block Gr_i V^d → Gr_{i+2s} V^{d+2s} of e^s: the target's
+        projection times η^s times the source's section, with η^s read from
+        the operator's own power cache; formed once per (d, i, s)."""
         def compute():
-            if s <= 0:
-                return Matrix.identity(self.dim(d, i))
-            if s == 1:
-                return self.e_block(d, i)
-            k = 2 * (s - 1)
-            return self.e_power_block(d + k, i + k, 1) @ self.e_power_block(d, i, s - 1)
+            src, tgt = self.quotients.get((d, i)), self.quotients.get((d + 2 * s, i + 2 * s))
+            if src is None or tgt is None:
+                return Matrix.zero(self.dim(d + 2 * s, i + 2 * s), self.dim(d, i))
+            return tgt.projection @ self.eta.power_block(d, s) @ src.section.transpose()
         return memoized(self._memo, ("e_power_block", d, i, s), compute)
 
 

@@ -23,13 +23,15 @@ products over Q:
   R_pqᵀ·Q = Q·R_{n−p,n−q}, and the same for J and π_pp (``duality``).
 
 A degree that is one (p, p) piece has π_pp = I, and its checks need no
-arithmetic.  Where the pieces of a degree are not a basis, the checks fall
-back on the pieces themselves.
+arithmetic.  A degree whose pieces are not a basis swapped by conjugation
+(exactly a degree where ``validate`` reports an error) has no operators:
+``is_shs`` and ``is_hs_map`` raise ``PreconditionFailure`` on it, and
+``pairing_respects_types`` returns False.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 
 from .errors import (EngineDefect, GroupClosureBoundExceeded, HypothesisFailure,
@@ -102,14 +104,6 @@ class HodgeBigrading:
                     errors.append(f"degree {d}: conj of piece ({p},{q}) is not piece ({q},{p})")
         return errors
 
-    def conjugated(self) -> "HodgeBigrading":
-        """The bigrading with every piece (p,q) relabeled as (q,p)."""
-        return HodgeBigrading(self.space, self.weights,
-                              {(d, q, p): sub for (d, p, q), sub in self.pieces.items()})
-
-    def is_hodge_tate(self):
-        return all(p == q for (_, p, q) in self.pieces)
-
     @classmethod
     def hodge_tate(cls, space: GradedSpace, weights=None):
         """Single full (w/2, w/2) piece per degree; weights default to d."""
@@ -130,17 +124,19 @@ class Decomposition:
     ``rank`` is the dimension of the span of the pieces and ``total`` the
     sum of their dimensions.  The rest is set only when the pieces are a
     basis (rank = total = dim V): ``coords`` is B⁻¹ for B the columns of
-    the piece bases in sorted type order, ``types`` the type of each
-    coordinate, and ``ops`` maps each type {p, q}, p ≤ q, to its operators:
-    (R_pq, J_pq) for p < q and (π_pp,) for p = q, over Q when conjugation
-    swaps the pieces and over Q(i) otherwise.  ``whole`` is (p, p) when the
-    degree is one (p, p) piece; then its one operator is the identity."""
+    the piece bases in sorted type order and ``types`` the type of each
+    coordinate.  ``ops`` maps each type {p, q}, p ≤ q, to its operators over
+    Q: (R_pq, J_pq) for p < q and (π_pp,) for p = q.  It is None unless the
+    pieces are a basis and every operator is rational; for a basis, that
+    holds exactly when conjugation swaps the pieces.  ``whole`` is (p, p)
+    when the degree is one (p, p) piece; then its one operator is the
+    identity."""
 
     rank: int
     total: int
     coords: "Matrix | None" = None
     types: tuple = ()
-    ops: dict = field(default_factory=dict)
+    ops: "dict | None" = None
     whole: "tuple | None" = None
 
 
@@ -176,50 +172,48 @@ def _decompose(n, pieces) -> Decomposition:
         else:
             a, b = projector.get((p, q), zero), projector.get((q, p), zero)
             ops[(p, q)] = ((a + b).rational(), (a - b).scale(GI_I).rational())
+    if any(op.field == FIELD_QI for pair in ops.values() for op in pair):
+        ops = None      # conjugation does not swap the pieces
     return Decomposition(n, n, coords, types, ops)
 
 
-def _equal_products(a: Matrix, b: Matrix, c: Matrix, d: Matrix) -> bool:
-    """a·b = c·d, over Q(i) if any factor is."""
-    if FIELD_QI in (a.field, b.field, c.field, d.field):
-        a, b, c, d = (m.complexify() for m in (a, b, c, d))
-    return a @ b == c @ d
+def _operators(bigrading: HodgeBigrading, d: int) -> Decomposition:
+    """Degree d of ``bigrading``, which must have its operators."""
+    dec = bigrading.decomposition(d)
+    if dec.ops is None:
+        raise PreconditionFailure(
+            f"invalid bigrading: degree {d}: pieces are not a basis swapped by conjugation")
+    return dec
 
 
 def is_shs(sub: Subspace, bigrading: HodgeBigrading, d: int) -> bool:
     """True iff S⊗Q(i) is the sum of its intersections with the pieces,
-    that is, iff every operator of the degree maps S into itself."""
+    that is, iff every operator of the degree maps S into itself.  Raises
+    ``PreconditionFailure`` on a degree without operators."""
     if sub.ambient_dim != bigrading.space.dim(d):
         raise InputError("subspace/degree mismatch")
-    dec = bigrading.decomposition(d)
-    if dec.coords is None:
-        s_c = sub.complexify()
-        return sum(s_c.intersect(piece).dim
-                   for piece in bigrading.degree_pieces(d).values()) == sub.dim
+    dec = _operators(bigrading, d)
     if dec.whole is not None or sub.is_zero() or sub.is_full():
         return True
-    ops = [op for ops in dec.ops.values() for op in ops]
     basis = sub.basis
-    if basis.field == FIELD_QI or any(op.field == FIELD_QI for op in ops):
-        basis, ops = basis.complexify(), [op.complexify() for op in ops]
     # one product decides op·S ⊆ S for every operator at once
-    images = reduce(Matrix.stack, [basis @ op.transpose() for op in ops])
+    images = reduce(Matrix.stack, [basis @ op.transpose()
+                                   for ops in dec.ops.values() for op in ops])
     return _spans(basis, _leads(basis), images)
 
 
 def is_hs_map(f: GradedMap, a: int, src: HodgeBigrading, dst: HodgeBigrading):
     """True iff every piece (p,q) maps into the target piece (p+a, q+a),
     that is, iff f intertwines the operators of each degree with those of
-    the target at types shifted by (a, a)."""
-    for d in sorted({d for d, _, _ in src.pieces}):
+    the target at types shifted by (a, a).  Raises ``PreconditionFailure``
+    on a degree without operators."""
+    for d in src.space.degrees:
         block = f.block(d)
-        s, t = src.decomposition(d), dst.decomposition(d + f.shift)
-        if s.coords is None or t.coords is None:
-            ok = _maps_pieces(block, src, dst, d, d + f.shift, a)
-        elif s.whole is not None and t.whole is not None:
+        s, t = _operators(src, d), _operators(dst, d + f.shift)
+        if s.whole is not None and t.whole is not None:
             ok = t.whole == (s.whole[0] + a, s.whole[1] + a) or block.is_zero()
         else:
-            ok = all(_equal_products(block, left, right, block)
+            ok = all(block @ left == right @ block
                      for left, right in _counterparts(s, t, lambda p, q: (p + a, q + a)))
         if not ok:
             return False
@@ -229,15 +223,16 @@ def is_hs_map(f: GradedMap, a: int, src: HodgeBigrading, dst: HodgeBigrading):
 def pairing_respects_types(block: Matrix, bigrading: HodgeBigrading, d: int, n: int) -> bool:
     """Whether the pairing block V^d × V^{2n−d} couples each piece (p, q)
     only with (n−p, n−q): R_pqᵀ·Q = Q·R_{n−p,n−q}, and the same for J and
-    π_pp.  False also when the pieces of either degree are not a basis;
-    ``duality.duality_hs_check`` then searches the pieces."""
+    π_pp.  False also when either degree has no operators, its pieces not
+    being a basis swapped by conjugation; ``duality.duality_hs_check`` then
+    searches the pieces."""
     s, t = bigrading.decomposition(d), bigrading.decomposition(2 * n - d)
-    if s.coords is None or t.coords is None:
+    if s.ops is None or t.ops is None:
         return False
     if s.whole is not None and t.whole is not None:
         return t.whole == (n - s.whole[0], n - s.whole[1]) or block.is_zero()
     dual = lambda p, q: (n - q, n - p)     # reverses p < q, so J_{n−p,n−q} = −J_{n−q,n−p}
-    return all(_equal_products(left.transpose(), block, block, right)
+    return all(left.transpose() @ block == block @ right
                for left, right in _counterparts(s, t, dual, flip_j=True))
 
 
@@ -252,16 +247,6 @@ def _counterparts(s: Decomposition, t: Decomposition, partner, flip_j=False):
         right = t.ops.get(partner(*key), (zero, zero))
         for k, op in enumerate(ops):
             yield op, -right[k] if flip_j and k else right[k]
-
-
-def _maps_pieces(block, src, dst, d, d2, a) -> bool:
-    """Degree d of ``is_hs_map``, piece by piece: for pieces that are not a basis."""
-    for (p, q), piece in src.degree_pieces(d).items():
-        target = dst.pieces.get((d2, p + a, q + a))
-        img = image_of(block.complexify(), piece)
-        if img.dim and (target is None or not target.contains(img)):
-            return False
-    return True
 
 
 @dataclass(frozen=True)

@@ -45,9 +45,9 @@ class PerverseLefschetzInstance:
     def cut_rows(self, d, s, level) -> Matrix:
         """Rows R with {v ∈ V^d : η^s v ∈ W_{≤level}V^{d+2s}} = {v : R·v = 0}:
         the RREF of ann(W_{≤level}V^{d+2s})·η^s, with no rows when that step
-        is full and the rows of η^s when it is 0.  The schedule and its
-        containment checks, the direct characterization and the key
-        restriction of the commutation check read these rows."""
+        is full and the rows of η^s when it is 0.  The schedule, its
+        containment checks and the direct characterization read these
+        rows."""
         def compute():
             target = self.filtration.at(d + 2 * s, level)
             if target.is_full():
@@ -80,14 +80,6 @@ class PerverseLefschetzInstance:
         if sub.is_full():
             return memoized(self._memo, ("kernel", rows), lambda: kernel(rows))
         return sub.cut_by(rows)
-
-    def eta_image(self, d, j, sub) -> Subspace:
-        """η^j(sub) for sub ⊆ V^d, formed once per (d, j, sub); the
-        commutation check reads each image more than once."""
-        if j == 0:
-            return sub
-        return memoized(self._memo, ("eta_image", d, j, sub),
-                        lambda: image_of(self.eta.power_block(d, j), sub))
 
     def failed_compatibility(self, pairing) -> str | None:
         """The first compatibility flag of ``pairing`` with this instance

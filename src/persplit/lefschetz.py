@@ -9,7 +9,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import reduce
-from weakref import WeakKeyDictionary
 
 from .errors import InputError, VerificationFailure
 from .graded import Filtration, GradedMap, GradedPieces, GradedSpace, memoized
@@ -66,17 +65,10 @@ class PrimitiveTable:
     def get(self, i, d) -> Subspace | None:
         return self.table.get((i, d))
 
-    @property
-    def slots(self):
-        return sorted(self.table)
-
-
-_hl_memo = WeakKeyDictionary()   # GradedPieces -> its HardLefschetzReport
-
 
 def hard_lefschetz_report(gp: GradedPieces) -> HardLefschetzReport:
-    """``check_hard_lefschetz(gp)``, run once per ``gp`` and dropped with it."""
-    return memoized(_hl_memo, gp, lambda: check_hard_lefschetz(gp))
+    """``check_hard_lefschetz(gp)``, run once per ``gp`` (kept in its ``_memo``)."""
+    return memoized(gp._memo, ("hard_lefschetz",), lambda: check_hard_lefschetz(gp))
 
 
 def require_hard_lefschetz(gp: GradedPieces):

@@ -128,11 +128,10 @@ class Matrix:
     __slots__ = ("rows", "cols", "field", "_num", "_den", "_data", "_hash", "_transpose",
                  "_integer")
 
-    def __init__(self, rows, cols, data, field=FIELD_Q, *, _raw=False):
-        if not _raw:
-            data = [tuple(row) for row in data]
-            if len(data) != rows or any(len(r) != cols for r in data):
-                raise DimensionMismatch(f"expected {rows}x{cols} entries")
+    def __init__(self, rows, cols, data, field=FIELD_Q):
+        data = [tuple(row) for row in data]
+        if len(data) != rows or any(len(r) != cols for r in data):
+            raise DimensionMismatch(f"expected {rows}x{cols} entries")
         ratio = _ratio if field == FIELD_Q else _complex_ratio
         m = Matrix.from_ratios(rows, cols, [[ratio(x) for x in row] for row in data], field)
         _set(self, "rows", rows)

@@ -75,7 +75,7 @@ def weight_axioms_hold(n_mat, steps, center=0):
         q_hi = quotient_map(hi, hi_prev)
         q_lo = quotient_map(lo, lo_prev)
         cols = [q_lo.projection.apply(power.apply(rep)) for rep in q_hi.section.data]
-        induced = Matrix(q_lo.dim, q_hi.dim, tuple(zip(*cols)), _raw=True)
+        induced = Matrix(q_lo.dim, q_hi.dim, tuple(zip(*cols)))
         if not kernel(induced).is_zero():
             return False
     return True

@@ -266,7 +266,8 @@ def test_criterion_9_retraction_lemma():
     # SHS must be classified as a hypothesis failure, never verified
     space = GradedSpace({0: 2})
     plain = pair_structure([[Rat(1), Rat(0)], [Rat(0), Rat(1)]])
-    conj = plain.conjugated()
+    conj = HodgeBigrading(plain.space, plain.weights,      # (p,q) relabeled (q,p)
+                          {(d, q, p): sub for (d, p, q), sub in plain.pieces.items()})
     classified = False
     try:
         retraction_criterion(Matrix.identity(2), Matrix.identity(2), plain, conj)

@@ -106,21 +106,31 @@ def test_strict_compatibility_witness_in_a_non_coordinate_basis():
                               "witness (Fraction(0, 1), Fraction(1, 1), Fraction(2, 1))")
 
 
+def base_changed_split_model(spec, seed):
+    """The split model of ``spec`` moved by a seeded unimodular g_d in
+    every degree: steps g·W, operator g·η·g⁻¹."""
+    inst, _ = build_split_model(StringSpec(spec))
+    rng = random.Random(seed)
+    g = {d: random_unimodular(rng, inst.space.dim(d)) for d in inst.space.degrees}
+    filtr = Filtration(inst.space, {(d, i): Subspace(sub.ambient_dim, sub.basis @ g[d].transpose())
+                                    for (d, i), sub in inst.filtration.steps.items()})
+    blocks = {d: g[d + 2] @ blk @ g[d].inverse() for d, blk in inst.eta.blocks.items()}
+    return PerverseLefschetzInstance(center=inst.center, space=inst.space, filtration=filtr,
+                                     eta=GradedMap(2, blocks, inst.space))
+
+
 def test_strict_compatibility_witness_after_a_base_change():
     # A seeded unimodular base change g of a split model moves W_{≤−2}V^0 to
     # the RREF rows (1, 0, 1), (0, 1, 1) and W_{≤0}V^2 to (1, 0, −1),
     # (0, 1, 0).  Bending gηg⁻¹ on V^0 by x·f, with x = (0, 0, 1) outside
     # W_{≤0}V^2 and f = (0, 1, 0) zero on the first row only, moves the
     # second row's image out of W_{≤0}V^2: the witness is that row.
-    inst, _ = build_split_model(StringSpec(((2, 0, 2), (1, 0, 1))))
-    rng = random.Random(4)
-    g = {d: random_unimodular(rng, inst.space.dim(d)) for d in inst.space.degrees}
-    filtr = Filtration(inst.space, {(d, i): Subspace(sub.ambient_dim, sub.basis @ g[d].transpose())
-                                    for (d, i), sub in inst.filtration.steps.items()})
+    inst = base_changed_split_model(((2, 0, 2), (1, 0, 1)), 4)
+    filtr = inst.filtration
     assert filtr.at(0, -2) == Subspace.span([[1, 0, 1], [0, 1, 1]], 3)
     assert filtr.at(2, 0) == Subspace.span([[1, 0, -1], [0, 1, 0]], 3)
-    blocks = {d: g[d + 2] @ blk @ g[d].inverse() for d, blk in inst.eta.blocks.items()}
-    assert check_strict_compatibility(filtr, GradedMap(2, blocks, inst.space)) == (True, None)
+    assert check_strict_compatibility(filtr, inst.eta) == (True, None)
+    blocks = dict(inst.eta.blocks)
     blocks[0] = blocks[0] + frac_matrix([[0, 0, 0], [0, 0, 0], [0, 1, 0]])
     eta = GradedMap(2, blocks, inst.space)
     ok, witness = check_strict_compatibility(filtr, eta)
@@ -157,7 +167,7 @@ def test_induced_block_lives_two_steps_up():
     # maps into index +1 of the next degree, as on the built-in example.
     inst = quadric_cone(1).instance
     gp = inst.pieces
-    block = gp.e_block(2, -1)
+    block = gp.e_power_block(2, -1, 1)
     assert (block.rows, block.cols) == (1, 1)
     assert block.data[0][0] != 0
 
@@ -179,7 +189,7 @@ def test_quotient_commutes_with_induced_operator():
         tgt = gp.quotient(d + 2, i + 2)
         if tgt is None:
             continue
-        block = gp.e_block(d, i)
+        block = gp.e_power_block(d, i, 1)
         for rep in q.section.data:
             via_quotient = block.apply(q.projection.apply(rep))
             via_operator = tgt.projection.apply(inst.eta.block(d).apply(rep))
@@ -195,10 +205,20 @@ def naive_power_block(eta, d, s):
     return out
 
 
+def one_step_block(gp, d, i):
+    """The induced block Gr_i V^d → Gr_{i+2} V^{d+2}: projection · η_d · sectionᵀ."""
+    src, tgt = gp.quotient(d, i), gp.quotient(d + 2, i + 2)
+    if src is None or tgt is None:
+        return Matrix.zero(gp.dim(d + 2, i + 2), gp.dim(d, i))
+    return tgt.projection @ gp.eta.block(d) @ src.section.transpose()
+
+
 def naive_e_power_block(gp, d, i, s):
+    """The composite of s one-step induced blocks, which must equal the
+    induced block of η^s."""
     out = Matrix.identity(gp.dim(d, i))
     for k in range(s):
-        out = gp.e_block(d + 2 * k, i + 2 * k) @ out
+        out = one_step_block(gp, d + 2 * k, i + 2 * k) @ out
     return out
 
 
@@ -217,8 +237,9 @@ def gapped_instance():
 def power_cases():
     yield gapped_instance()
     yield quadric_cone(1).instance
+    yield base_changed_split_model(((3, 0, 1), (2, 0, 1), (1, 2, 2)), 7)
     for seed in range(6):
-        yield random_instance(seed).instance
+        yield random_instance(seed).instance    # twisted split models
 
 
 def test_power_block_matches_naive_product():

@@ -25,6 +25,16 @@ from test_replay import weight_one_tensor
 I = Gaussian(0, 1)
 
 
+def conjugated(big):
+    """The bigrading with every piece (p,q) relabeled as (q,p)."""
+    return HodgeBigrading(big.space, big.weights,
+                          {(d, q, p): sub for (d, p, q), sub in big.pieces.items()})
+
+
+def is_hodge_tate(big):
+    return all(p == q for (_, p, q) in big.pieces)
+
+
 # --- bigrading basics -------------------------------------------------------
 
 def test_bigrading_validation_catches_broken_conjugation():
@@ -48,7 +58,7 @@ def test_bigrading_rejects_weight_mismatch():
 def test_hodge_tate_construction():
     space = GradedSpace({0: 1, 2: 3})
     big = HodgeBigrading.hodge_tate(space)
-    assert big.is_hodge_tate() and big.validate() == []
+    assert is_hodge_tate(big) and big.validate() == []
     with pytest.raises(InputError):
         HodgeBigrading.hodge_tate(space, {0: 0, 2: 3})
 
@@ -73,6 +83,19 @@ def test_every_subspace_of_hodge_tate_is_shs():
         assert is_shs(Subspace.span(rows, 3), big, 0)
 
 
+def test_checks_refuse_pieces_that_are_not_a_basis():
+    # one (1,0) piece without its (0,1) partner: the pieces do not span
+    space = GradedSpace({0: 2})
+    big = HodgeBigrading(space, {0: 1}, {(0, 1, 0): Subspace.span([[1, I]], 2, FIELD_QI)})
+    assert big.validate() and big.decomposition(0).ops is None
+    for sub in (Subspace.zero(2), Subspace.span([[1, 0]], 2), Subspace.full(2)):
+        with pytest.raises(PreconditionFailure, match="degree 0: pieces are not a basis"):
+            is_shs(sub, big, 0)
+    ident = GradedMap(0, {0: Matrix.identity(2)}, space)
+    with pytest.raises(PreconditionFailure, match="degree 0"):
+        is_hs_map(ident, 0, big, weight_one_bigrading(space, 0))
+
+
 def test_hs_map_examples():
     space = GradedSpace({0: 2})
     big = weight_one_bigrading(space, 0)
@@ -82,7 +105,7 @@ def test_hs_map_examples():
     refl = GradedMap(0, {0: frac_matrix([[1, 0], [0, -1]])}, space)
     assert not is_hs_map(refl, 0, big, big)
     # but it IS a map to the conjugated structure
-    assert is_hs_map(refl, 0, big, big.conjugated())
+    assert is_hs_map(refl, 0, big, conjugated(big))
 
 
 # --- the retraction splitting criterion -------------------------------------
@@ -109,7 +132,7 @@ def test_retraction_criterion_conjugated_target_breaks_p_hypothesis():
     big = weight_one_bigrading(space, 0)
     ident = Matrix.identity(2)
     with pytest.raises(HypothesisFailure, match="map of Hodge structures"):
-        retraction_criterion(ident, ident, big, big.conjugated())
+        retraction_criterion(ident, ident, big, conjugated(big))
 
 
 def test_retraction_criterion_non_shs_image():
@@ -202,7 +225,7 @@ def test_hodge_and_duality_checks_do_no_gaussian_arithmetic():
     finally:
         profile.disable()
     assert report.passed and duality.passed
-    assert not inst.hodge.is_hodge_tate()
+    assert not is_hodge_tate(inst.hodge)
     # some degree was decided by a pair of operators R_pq, J_pq
     assert any(len(ops) == 2 for d in inst.space.degrees
                for ops in inst.hodge.decomposition(d).ops.values())
@@ -360,12 +383,22 @@ def test_operators_match_the_per_piece_checks(layout, mutation, a, seed):
     pieces = _mutate(pieces, mutation)
     g = _base_change(rng, n)
     big = _bigrading(0, layout[0], n, pieces, g)
-    assert big.validate() == oracle_validate(big)
-    if not big.validate():      # conjugation swaps the pieces: every operator is rational
-        assert all(op.field == FIELD_Q for ops in big.decomposition(0).ops.values()
-                   for op in ops)
+    errors = big.validate()
+    assert errors == oracle_validate(big)
+    # the operators exist, all rational, exactly when the degree is valid
+    ops = big.decomposition(0).ops
+    assert (ops is None) == bool(errors)
+    assert all(op.field == FIELD_Q for pair in (ops or {}).values() for op in pair)
     if mutation == "dependent" and len(pieces) > 1:
-        assert "degree 0: pieces not independent" in big.validate()
+        assert "degree 0: pieces not independent" in errors
+
+    def agrees(check, oracle, *args):
+        if errors:
+            with pytest.raises(PreconditionFailure, match="degree 0"):
+                check(*args)
+        else:
+            assert check(*args) == oracle(*args)
+
     # sub-Hodge structures: random subspaces, and spans of coordinate blocks
     for _ in range(4):
         rows = _random_rows(rng, rng.randint(0, n + 1), n)
@@ -375,7 +408,7 @@ def test_operators_match_the_per_piece_checks(layout, mutation, a, seed):
             rows = [list(r) for r in (Matrix(len(rows), n, rows) @ g.transpose()).data] \
                 if rows else []
         sub = Subspace.span(rows, n)
-        assert is_shs(sub, big, 0) == oracle_is_shs(sub, big, 0)
+        agrees(is_shs, oracle_is_shs, sub, big, 0)
     # morphisms of type (a, a) onto the same pieces with types shifted, made
     # of complex scalars on each pair and any map on the (p, p) coordinates
     shifted = {(p + a, q + a): rows for (p, q), rows in pieces.items()}
@@ -395,8 +428,8 @@ def test_operators_match_the_per_piece_checks(layout, mutation, a, seed):
     if n and rng.random() < 0.4:
         f = f + Matrix(n, n, _random_rows(rng, n, n))
     fmap = GradedMap(0, {0: f}, big.space)
-    assert is_hs_map(fmap, a, big, dst) == oracle_is_hs_map(fmap, a, big, dst)
-    assert is_hs_map(fmap, a, big, big) == oracle_is_hs_map(fmap, a, big, big)
+    agrees(is_hs_map, oracle_is_hs_map, fmap, a, big, dst)
+    agrees(is_hs_map, oracle_is_hs_map, fmap, a, big, big)
 
 
 def _dual_relabel(n, mutation):

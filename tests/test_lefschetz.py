@@ -185,7 +185,7 @@ def test_twist_preserves_graded_pieces_and_hl():
     assert twisted.filtration == inst.filtration
     a, b = inst.pieces, twisted.pieces
     for (d, i) in a.slots:
-        assert a.e_block(d, i) == b.e_block(d, i)  # u is trivial on pieces
+        assert a.e_power_block(d, i, 1) == b.e_power_block(d, i, 1)  # u is trivial on pieces
     assert check_hard_lefschetz(b).passed
 
 

@@ -270,7 +270,7 @@ def naive_matmul(a, b):
                 acc = acc + a.data[i][k] * b.data[k][j]
             row.append(acc)
         rows.append(tuple(row))
-    return Matrix(a.rows, b.cols, tuple(rows), a.field, _raw=True)
+    return Matrix(a.rows, b.cols, tuple(rows), a.field)
 
 
 SMALL = st.sampled_from((0, 0, 0, 1, -1, 2, Rat(1, 3)))
@@ -351,10 +351,10 @@ def span_and_sum_quotient_map(a, b):
         if not current.contains_vector(unit):
             extra_rows.append(unit)
             current = current.sum(Subspace.span([unit], n, field))
-    full = Matrix(n, n, b.basis.data + tuple(comp_rows) + tuple(extra_rows), field, _raw=True)
+    full = Matrix(n, n, b.basis.data + tuple(comp_rows) + tuple(extra_rows), field)
     q = len(comp_rows)
-    projection = Matrix(q, n, full.transpose().inverse().data[b.dim: b.dim + q], field, _raw=True)
-    return projection, Matrix(q, n, tuple(comp_rows), field, _raw=True)
+    projection = Matrix(q, n, full.transpose().inverse().data[b.dim: b.dim + q], field)
+    return projection, Matrix(q, n, tuple(comp_rows), field)
 
 
 @st.composite

@@ -1,6 +1,7 @@
 import cProfile
 import pstats
 from fractions import Fraction
+from types import CodeType
 
 import pytest
 
@@ -10,7 +11,7 @@ from persplit.corpus import (GeneratorProfile, canonical_lifts, quadric_cone,
 from persplit.errors import (AssemblyFailure, ContainmentViolation, EngineDefect,
                              VerificationFailure)
 from persplit.fileformat import save
-from persplit.graded import GradedMap
+from persplit.graded import GradedMap, GradedPieces
 from persplit.instance import PerverseLefschetzInstance
 from persplit.lefschetz import (StringSpec, apply_graded_auto, build_split_model,
                                 check_hard_lefschetz, twist_model)
@@ -318,19 +319,6 @@ def test_quadric_commutation_report():
     assert inst.filtration.at(4, 0).contains(img)
 
 
-def test_eta_images_are_per_subspace():
-    # the commutation check reads η^j(E) more than once; another subspace
-    # of the same degree must never read E's image
-    inst, result = quadric_split(1)
-    e_sub = result.embedded[(1, 2)]
-    first = inst.eta_image(2, 1, e_sub)
-    assert first == image_of(inst.eta.block(2), e_sub)
-    assert inst.eta_image(2, 1, e_sub) is first
-    full = Subspace.full(e_sub.ambient_dim)
-    assert inst.eta_image(2, 1, full) == image_of(inst.eta.block(2), full) != first
-    assert inst.eta_image(2, 0, e_sub) is e_sub
-
-
 def test_split_model_commutation():
     inst, _ = build_split_model(StringSpec(((3, 0, 2), (1, 2, 1))))
     result = compute_splitting(inst)
@@ -409,3 +397,38 @@ def test_splitting_runs_no_direct_pass_and_no_sums():
     assert count(lefschetz._primitive_table) == 1
     assert count(direct_characterization) == 0
     assert count(Subspace.sum) == 0
+
+
+def profiled(call):
+    """``call()`` under cProfile, with its stats keyed by (file, line, name)."""
+    profile = cProfile.Profile()
+    profile.enable()
+    try:
+        value = call()
+    finally:
+        profile.disable()
+    return value, {key[:3]: stat for key, stat in pstats.Stats(profile).stats.items()}
+
+
+def code_key(code):
+    return code.co_filename, code.co_firstlineno, code.co_name
+
+
+def test_commutation_reads_no_cut_rows_and_each_graded_block_is_one_product():
+    """On a cold twisted model with a pairing, each induced block e^s of
+    the pieces is one product, formed once per (d, i, s) and not from
+    other induced blocks; the commutation check forms its images from the
+    operator's powers and repeats no certificate product, so it reads no
+    ``cut_rows``."""
+    inst = random_instance(9, GeneratorProfile(with_pairing=True)).instance
+    assert inst.pairing is not None
+    result, stats = profiled(lambda: compute_splitting(inst))
+    outer = GradedPieces.e_power_block.__code__
+    body = next(c for c in outer.co_consts if isinstance(c, CodeType) and c.co_name == "compute")
+    formed = [key for key in inst.pieces._memo if key[0] == "e_power_block"]
+    assert formed and stats[code_key(body)][1] == len(formed)
+    callers = {key[:3] for key in stats[code_key(outer)][4]}
+    assert not callers & {code_key(outer), code_key(body)}
+    report, stats = profiled(lambda: eta_commutation_check(inst, result))
+    assert report.passed and any(j and jp for (_, _, j, jp), _ in report.checks)
+    assert code_key(PerverseLefschetzInstance.cut_rows.__code__) not in stats
