@@ -100,7 +100,12 @@ class IntersectionPairing:
         return True
 
     def filtration_self_dual(self, inst: PerverseLefschetzInstance) -> bool:
-        """(W_{≤i}V^d)^⊥ = W_{≤−i−1}V^{2n−d} at every stored step."""
+        """(W_{≤i}V^d)^⊥ = W_{≤−i−1}V^{2n−d} at every stored step.
+
+        The perp is the kernel of M = step·Q_{2n−d}ᵀ, so it equals the
+        expected step E exactly when M·Eᵀ = 0 and dim V^{2n−d} − rank M =
+        dim E: one product and one rank, and no kernel.  A zero step gives
+        M no rows, so there E must be all of V^{2n−d}."""
         n2 = 2 * self.center
         for d in self.space.degrees:
             dual_d = n2 - d
@@ -111,7 +116,9 @@ class IntersectionPairing:
             for i in sorted(indices):
                 step = inst.filtration.at(d, i)
                 expected = inst.filtration.at(dual_d, -i - 1)
-                if self.perp(step, dual_d) != expected:
+                m = step.basis @ self.block(dual_d).transpose()
+                if not (m @ expected.basis.transpose()).is_zero() or \
+                        expected.ambient_dim - m.rank() != expected.dim:
                     return False
         return True
 

@@ -10,7 +10,7 @@ from functools import cached_property, reduce
 from .errors import InputError
 from .graded import (Filtration, GradedMap, GradedSpace, graded_pieces, memoized,
                      validate_filtration)
-from .linalg import Matrix, Subspace, image_of, kernel, rref
+from .linalg import Matrix, Subspace, kernel
 
 
 @dataclass(frozen=True)
@@ -44,29 +44,36 @@ class PerverseLefschetzInstance:
 
     def cut_rows(self, d, s, level) -> Matrix:
         """Rows R with {v ∈ V^d : η^s v ∈ W_{≤level}V^{d+2s}} = {v : R·v = 0}:
-        the RREF of ann(W_{≤level}V^{d+2s})·η^s, with no rows when that step
-        is full and the rows of η^s when it is 0.  The schedule, its
-        containment checks and the direct characterization read these
-        rows."""
+        ann(W_{≤level}V^{d+2s})·η^s, or η^s when that step is 0, and no
+        rows when the step is full or the product is zero.  The rows are
+        not reduced: only the kernels they cut must be canonical.  The
+        schedule, its containment checks and the direct characterization
+        read these rows."""
         def compute():
             target = self.filtration.at(d + 2 * s, level)
             if target.is_full():
                 return Matrix.zero(0, self.space.dim(d))
-            power = self.eta.power_block(d, s)
-            return rref(power if target.is_zero() else target.annihilator().basis @ power)
+            rows = self.eta.power_block(d, s)
+            if not target.is_zero():
+                # one annihilator per distinct step, shared by every (d, s)
+                ann = memoized(self._memo, ("annihilator", target), target.annihilator)
+                rows = ann.basis @ rows
+            return Matrix.zero(0, self.space.dim(d)) if rows.is_zero() else rows
         return memoized(self._memo, ("cut_rows", d, s, level), compute)
 
     def orthogonal_rows(self, pairing, d, s) -> Matrix:
         """Rows R with (η^s(W_{≤−s}V^{2n−d−2s}))^⊥ = {v ∈ V^d : R·v = 0}
         under ``pairing`` (a ``duality.IntersectionPairing`` with center
-        n): the RREF of the pushed basis times the block Qᵀ, with no rows
-        when the pushed space is 0."""
+        n): the basis of W_{≤−s}V^{2n−d−2s} times (η^s)ᵀ times the block
+        Qᵀ, unreduced, with no rows when that product is zero."""
         def compute():
             src_d = 2 * pairing.center - d - 2 * s
-            pushed = image_of(self.eta.power_block(src_d, s), self.filtration.at(src_d, -s))
-            if pushed.is_zero():
-                return Matrix.zero(0, self.space.dim(d))
-            return rref(pushed.basis @ pairing.block(d).transpose())
+            step = self.filtration.at(src_d, -s)
+            pushed = self.eta.power_block(src_d, s).transpose()
+            if not step.is_full():
+                pushed = step.basis @ pushed
+            rows = pushed @ pairing.block(d).transpose()
+            return Matrix.zero(0, self.space.dim(d)) if rows.is_zero() else rows
         return memoized(self._memo, ("orthogonal_rows", pairing, d, s), compute)
 
     def cut_by(self, sub, blocks) -> Subspace:

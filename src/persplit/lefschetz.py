@@ -43,10 +43,10 @@ def check_hard_lefschetz(gp: GradedPieces) -> HardLefschetzReport:
         src, tgt = gp.dim(d, -i), gp.dim(d + 2 * i, i)
         if src != tgt:
             return HardLefschetzReport(False, tuple(checks), (i, d, None))
-        block = gp.e_power_block(d, -i, i)
-        ker = kernel(block)
-        if not ker.is_zero():
-            return HardLefschetzReport(False, tuple(checks), (i, d, ker.basis.data[0]))
+        if i:   # e^0 is the identity of Gr_0V^d: nothing to form or check
+            ker = kernel(gp.e_power_block(d, -i, i))
+            if not ker.is_zero():
+                return HardLefschetzReport(False, tuple(checks), (i, d, ker.basis.data[0]))
         checks.append(((i, d), True))
     return HardLefschetzReport(True, tuple(checks))
 

@@ -132,13 +132,18 @@ class Matrix:
         data = [tuple(row) for row in data]
         if len(data) != rows or any(len(r) != cols for r in data):
             raise DimensionMismatch(f"expected {rows}x{cols} entries")
-        ratio = _ratio if field == FIELD_Q else _complex_ratio
-        m = Matrix.from_ratios(rows, cols, [[ratio(x) for x in row] for row in data], field)
+        if field == FIELD_Q and all(type(x) is int for row in data for x in row):
+            # integer rows over denominator 1 are already canonical
+            num, den = tuple(data), (1,) * rows
+        else:
+            ratio = _ratio if field == FIELD_Q else _complex_ratio
+            m = Matrix.from_ratios(rows, cols, [[ratio(x) for x in row] for row in data], field)
+            num, den = m._num, m._den
         _set(self, "rows", rows)
         _set(self, "cols", cols)
         _set(self, "field", field)
-        _set(self, "_num", m._num)
-        _set(self, "_den", m._den)
+        _set(self, "_num", num)
+        _set(self, "_den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")

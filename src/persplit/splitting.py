@@ -4,7 +4,9 @@
 the iterated-kernel schedule and checks its containments
 η^{i+t}(S_{t−1}) ⊆ W_{≤i+t} itself, raising ``ContainmentViolation``.
 Each step cuts by the instance's cached constraint rows
-(``inst.cut_rows``), one kernel on the current basis.
+(``inst.cut_rows``), one kernel on the current basis.  The rows are not
+reduced, since only the cut must be canonical, and once the cut is 0 the
+later steps read no rows.
 ``certify_slot`` then proves the result canonical.  By products and
 dimension counts alone it checks that E lies in W_{≤−i}, meets the
 strong-primitivity conditions η^s·E ⊆ W_{≤s−1} for s > i and has the
@@ -65,7 +67,9 @@ def psi_schedule(inst: PerverseLefschetzInstance, i: int, d: int):
     projection of η^{i+1} to Gr_{i+2}); step t ≥ 1 first asserts
     η^{i+t}(S_{t−1}) ⊆ W_{≤i+t}, by one product of that condition's rows
     with the basis of S_{t−1}, and then cuts by η^{i+t}v ∈ W_{≤i+t−1}.
-    Returns ``(subspace, schedule_steps)``.
+    Once S_t is 0 every later condition holds on it, so each later step is
+    recorded with dimension 0 and reads no rows, forms no product and
+    makes no cut.  Returns ``(subspace, schedule_steps)``.
     """
     if i < 0:
         raise VerificationFailure("slot index i must be ≥ 0")
@@ -75,6 +79,9 @@ def psi_schedule(inst: PerverseLefschetzInstance, i: int, d: int):
     steps = [ScheduleStep(0, i + 1, i + 2, current.dim)]
     for t in range(1, r - i + 1):
         power = i + t
+        if current.is_zero():
+            steps.append(ScheduleStep(t, power, i + t, 0))
+            continue
         # column j of the product is zero iff basis row j satisfies
         # η^{i+t}v ∈ W_{≤i+t}; the witness is the first row that does not
         product = inst.cut_rows(d, power, i + t) @ current.basis.transpose()

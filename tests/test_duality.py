@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from persplit.corpus import (GeneratorProfile, canonical_lifts, quadric_cone,
@@ -203,6 +205,58 @@ def test_three_path_agreement_on_paired_seeds():
         for (i, d) in slot_list(inst):
             assert orthogonal_characterization(inst, q, i, d) == \
                 result.embedded[(i, d)]
+
+
+def perp_self_dual(pairing, inst):
+    """The self-duality flag by ``perp``'s kernel and a subspace compare."""
+    n2 = 2 * pairing.center
+    for d in inst.space.degrees:
+        dual_d = n2 - d
+        if not inst.space.dim(dual_d):
+            continue
+        for i in sorted(set(inst.filtration.jumps(d)) |
+                        {-j - 1 for j in inst.filtration.jumps(dual_d)}):
+            if pairing.perp(inst.filtration.at(d, i), dual_d) != \
+                    inst.filtration.at(dual_d, -i - 1):
+                return False
+    return True
+
+
+def self_duality_mutants(inst, pairing):
+    """(instance, pairing) pairs that differ from the given ones in one
+    place: a pairing block bumped at entry (0, 0) or zeroed, a stored step
+    cut to the line of its first basis row, moved up one index, or
+    preceded by that line one index lower."""
+    for d, blk in pairing.blocks.items():
+        if blk.rows and blk.cols:
+            bump = Matrix.from_rows([[int(r == c == 0) for c in range(blk.cols)]
+                                     for r in range(blk.rows)])
+            for changed in (blk + bump, Matrix.zero(blk.rows, blk.cols)):
+                yield inst, IntersectionPairing(pairing.center, inst.space,
+                                                {**pairing.blocks, d: changed})
+    steps = inst.filtration.steps
+    for (d, i), sub in steps.items():
+        if sub.is_zero():
+            continue
+        line = Subspace(sub.ambient_dim, sub.basis._take([0]))
+        others = {key: s for key, s in steps.items() if key != (d, i)}
+        for changed in ({**others, (d, i): line}, {**others, (d, i + 1): sub},
+                        {**steps, (d, i - 1): line}):
+            yield replace(inst, filtration=Filtration(inst.space, changed)), pairing
+
+
+def test_self_duality_by_rank_matches_the_perp_oracle():
+    cases = [quadric(m) for m in (0, 1, 2)]
+    cases += [(ri.instance, ri.instance.pairing)
+              for ri in (random_instance(seed, PAIRED) for seed in range(30))]
+    verdicts = []
+    for inst, q in cases:
+        assert q.filtration_self_dual(inst) and perp_self_dual(q, inst)
+        for mutant, pairing in self_duality_mutants(inst, q):
+            verdict = pairing.filtration_self_dual(mutant)
+            assert verdict == perp_self_dual(pairing, mutant)
+            verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
 
 
 # --- pairing versus the Hodge bigrading -------------------------------------

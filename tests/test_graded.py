@@ -4,14 +4,15 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from persplit.corpus import GeneratorProfile, quadric_cone, random_instance
+from persplit.corpus import (GeneratorProfile, quadric_cone, random_instance,
+                             split_model_pairing)
 from persplit.errors import InputError, VerificationFailure
 from persplit.graded import (Filtration, GradedMap, GradedSpace, _power_ladder,
                              check_strict_compatibility, graded_pieces,
                              nilpotency_order, validate_filtration,
                              weight_filtration)
 from persplit.instance import PerverseLefschetzInstance
-from persplit.lefschetz import StringSpec, build_split_model
+from persplit.lefschetz import StringSpec, build_split_model, string_cells
 from persplit.linalg import Matrix, Subspace, kernel, preimage
 from persplit.scalars import FIELD_Q, FIELD_QI, Gaussian, Rat
 
@@ -106,17 +107,23 @@ def test_strict_compatibility_witness_in_a_non_coordinate_basis():
                               "witness (Fraction(0, 1), Fraction(1, 1), Fraction(2, 1))")
 
 
-def base_changed_split_model(spec, seed):
+def base_changed_split_model(spec, seed, paired=False):
     """The split model of ``spec`` moved by a seeded unimodular g_d in
-    every degree: steps g·W, operator g·η·g⁻¹."""
-    inst, _ = build_split_model(StringSpec(spec))
+    every degree: steps g·W, operator g·η·g⁻¹ and, when ``paired``, the
+    string pairing transported by g⁻¹ (the strings must be centred)."""
+    spec = StringSpec(spec)
+    inst, _ = build_split_model(spec)
     rng = random.Random(seed)
     g = {d: random_unimodular(rng, inst.space.dim(d)) for d in inst.space.degrees}
     filtr = Filtration(inst.space, {(d, i): Subspace(sub.ambient_dim, sub.basis @ g[d].transpose())
                                     for (d, i), sub in inst.filtration.steps.items()})
     blocks = {d: g[d + 2] @ blk @ g[d].inverse() for d, blk in inst.eta.blocks.items()}
+    pairing = None
+    if paired:
+        g_inv = GradedMap(0, {d: m.inverse() for d, m in g.items()}, inst.space)
+        pairing = split_model_pairing(inst, string_cells(spec)[1]).transport(g_inv)
     return PerverseLefschetzInstance(center=inst.center, space=inst.space, filtration=filtr,
-                                     eta=GradedMap(2, blocks, inst.space))
+                                     eta=GradedMap(2, blocks, inst.space), pairing=pairing)
 
 
 def test_strict_compatibility_witness_after_a_base_change():

@@ -593,3 +593,51 @@ def test_equal_entries_give_equal_and_hash_equal_matrices(case):
     integers = Matrix(len(a_rows), n, [[x.numerator if x.denominator == 1 else x for x in row]
                                        for row in a_rows])
     assert integers == a and hash(integers) == hash(a)
+
+
+INTEGERS = st.one_of(st.integers(-3, 3), st.integers(-10**20, 10**20))
+
+
+@st.composite
+def integer_entry_rows(draw):
+    """An r×c matrix of ``int`` entries (r, c in 0..4, so 0×n and n×0
+    occur): each row random, zero, negative or with a common factor, and
+    at most one entry swapped for a ``Fraction`` or a ``bool``."""
+    r, c = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    rows = []
+    for _ in range(r):
+        row = [draw(INTEGERS) for _ in range(c)]
+        kind = draw(st.sampled_from(("random", "zero", "negative", "common factor")))
+        if kind == "zero":
+            row = [0] * c
+        elif kind == "negative":
+            row = [-abs(x) for x in row]
+        elif kind == "common factor":
+            factor = draw(st.integers(2, 12))
+            row = [factor * x for x in row]
+        rows.append(row)
+    other = draw(st.sampled_from((None, "fraction", "bool")))
+    if r and c and other:
+        entry = (Rat(draw(INTEGERS), draw(st.integers(1, 9))) if other == "fraction"
+                 else draw(st.booleans()))
+        rows[draw(st.integers(0, r - 1))][draw(st.integers(0, c - 1))] = entry
+    return r, c, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_entry_rows())
+@example((0, 3, []))
+@example((3, 0, [[], [], []]))
+@example((3, 3, [[0, 0, 0], [-2, -4, -6], [6, 9, -12]]))
+@example((2, 2, [[True, False], [2, 4]]))
+@example((2, 2, [[Rat(4), 2], [Rat(-1, 2), 3]]))
+def test_integer_entries_are_stored_as_from_ratios_stores_them(case):
+    r, c, rows = case
+    m = Matrix(r, c, rows)
+    want = Matrix.from_ratios(r, c, [[(x.numerator, x.denominator) for x in row]
+                                     for row in rows])
+    assert m == want and hash(m) == hash(want)
+    assert m.integer_rows() == want.integer_rows()
+    # stored as ints, never as bools or Fractions
+    assert all(type(x) is int for row, q in m.integer_rows() for x in (*row, q))
+    assert m.data == tuple(tuple(Rat(x) for x in row) for row in rows)

@@ -8,6 +8,7 @@ import pytest
 from persplit import cli, fileformat, lefschetz, splitting
 from persplit.corpus import (GeneratorProfile, canonical_lifts, quadric_cone,
                              random_instance)
+from persplit.duality import orthogonal_mismatch
 from persplit.errors import (AssemblyFailure, ContainmentViolation, EngineDefect,
                              VerificationFailure)
 from persplit.fileformat import save
@@ -15,12 +16,13 @@ from persplit.graded import GradedMap, GradedPieces
 from persplit.instance import PerverseLefschetzInstance
 from persplit.lefschetz import (StringSpec, apply_graded_auto, build_split_model,
                                 check_hard_lefschetz, twist_model)
-from persplit.linalg import Subspace, image_of, kernel
-from persplit.splitting import (assemble, certify_slot, compute_splitting,
+from persplit.linalg import Matrix, Subspace, image_of, kernel, rref
+from persplit.splitting import (ScheduleStep, assemble, certify_slot, compute_splitting,
                                 direct_characterization, eta_commutation_check,
                                 psi_schedule, slot_list)
 
 from oracle_helpers import oracle_summands
+from test_graded import base_changed_split_model
 
 
 def quadric_split(m):
@@ -432,3 +434,112 @@ def test_commutation_reads_no_cut_rows_and_each_graded_block_is_one_product():
     report, stats = profiled(lambda: eta_commutation_check(inst, result))
     assert report.passed and any(j and jp for (_, _, j, jp), _ in report.checks)
     assert code_key(PerverseLefschetzInstance.cut_rows.__code__) not in stats
+
+
+# --- constraint rows are reduced only where a result is read ----------------
+
+PAIRED = GeneratorProfile(with_pairing=True)
+
+
+def constraint_row_cases():
+    """Twisted and base-changed models, with and without a pairing, and the
+    quadric cones, whose steps are not coordinate subspaces."""
+    cases = [twisted_model(), split_sparse_model(3, 2), split_sparse_model(4, 1),
+             base_changed_split_model(((4, 0, 1), (2, 2, 2), (0, 4, 2), (2, 0, 1)), 3)]
+    cases += [random_instance(seed, PAIRED).instance for seed in range(10)]
+    cases += [base_changed_split_model(((0, 4, 1), (2, 2, 2), (4, 0, 1)), seed, paired=True)
+              for seed in (0, 1)]
+    return cases + [quadric_cone(m).instance for m in (0, 1, 2)]
+
+
+def reduced_cut_rows(inst, d, s, level):
+    """The RREF of ann(W_{≤level}V^{d+2s})·η^s; of η^s when that step is 0;
+    no rows when it is full."""
+    target = inst.filtration.at(d + 2 * s, level)
+    if target.is_full():
+        return Matrix.zero(0, inst.space.dim(d))
+    power = inst.eta.power_block(d, s)
+    return rref(power if target.is_zero() else target.annihilator().basis @ power)
+
+
+def reduced_orthogonal_rows(inst, pairing, d, s):
+    """The RREF of the basis of η^s(W_{≤−s}V^{2n−d−2s}) times Qᵀ, with no
+    rows when that image is 0."""
+    src_d = 2 * pairing.center - d - 2 * s
+    pushed = image_of(inst.eta.power_block(src_d, s), inst.filtration.at(src_d, -s))
+    if pushed.is_zero():
+        return Matrix.zero(0, inst.space.dim(d))
+    return rref(pushed.basis @ pairing.block(d).transpose())
+
+
+def test_constraint_rows_span_their_reduced_definitions():
+    for inst in constraint_row_cases():
+        r = inst.amplitude
+        for d in inst.space.degrees:
+            for s in range(r + 2):
+                for level in range(-r - 1, r + 2):
+                    rows = inst.cut_rows(d, s, level)
+                    assert rref(rows) == reduced_cut_rows(inst, d, s, level), (d, s, level)
+                    # no rows exactly when there is no condition
+                    assert not rows.rows or not rows.is_zero()
+            for s in range(1, r + 2) if inst.pairing is not None else ():
+                rows = inst.orthogonal_rows(inst.pairing, d, s)
+                assert rref(rows) == reduced_orthogonal_rows(inst, inst.pairing, d, s), (d, s)
+                assert not rows.rows or not rows.is_zero()
+
+
+def unpruned_schedule(inst, i, d):
+    """``psi_schedule``'s loop without its stop at S_t = 0: every step
+    reads its rows, checks its containment and cuts."""
+    current = inst.cut_by(inst.filtration.at(d, -i), [inst.cut_rows(d, i + 1, i + 1)])
+    steps = [ScheduleStep(0, i + 1, i + 2, current.dim)]
+    for t in range(1, inst.amplitude - i + 1):
+        assert (inst.cut_rows(d, i + t, i + t) @ current.basis.transpose()).is_zero()
+        current = inst.cut_by(current, [inst.cut_rows(d, i + t, i + t - 1)])
+        steps.append(ScheduleStep(t, i + t, i + t, current.dim))
+    return current, tuple(steps)
+
+
+def test_schedule_past_a_zero_step_matches_the_unpruned_loop():
+    early = 0
+    for inst in constraint_row_cases():
+        for (i, d) in slot_list(inst):
+            schedule = psi_schedule(inst, i, d)
+            assert schedule == unpruned_schedule(inst, i, d), (i, d)
+            early += any(not step.dim_after for step in schedule[1][:-1])
+    assert early
+
+
+def test_canonical_forms_are_formed_only_where_they_are_read():
+    """On a cold paired random instance, hard Lefschetz forms no e^0 block,
+    the schedule reads no cut rows past a zero step, the orthogonal path
+    pushes no image and the self-duality flag forms no kernel.  On a
+    twisted model whose steps are proper, each distinct step's annihilator
+    is formed once, however many cut rows share it."""
+    inst = random_instance(9, PAIRED).instance
+    report = lefschetz.hard_lefschetz_report(inst.pieces)
+    assert report.passed and any(i == 0 for (i, _), _ in report.checks)
+    assert not [key for key in inst.pieces._memo if key[0] == "e_power_block" and key[2:] == (0, 0)]
+    cut_rows = code_key(PerverseLefschetzInstance.cut_rows.__code__)
+    early = 0
+    for (i, d) in slot_list(inst):
+        (_, steps), stats = profiled(lambda: psi_schedule(inst, i, d))
+        zero = next((step.t for step in steps if not step.dim_after), len(steps) - 1)
+        # one read at step 0, two at each later step up to the first zero
+        assert stats[cut_rows][1] == 1 + 2 * zero
+        early += zero < len(steps) - 1
+    assert early
+    result = compute_splitting(inst)
+    mismatch, stats = profiled(lambda: orthogonal_mismatch(inst, inst.pairing, result.embedded))
+    assert mismatch is None and code_key(image_of.__code__) not in stats
+    flag, stats = profiled(lambda: inst.pairing.filtration_self_dual(inst))
+    assert flag and code_key(kernel.__code__) not in stats
+
+    inst = split_sparse_model(3, 2)
+    _, stats = profiled(lambda: compute_splitting(inst))
+    formed = [key for key in inst._memo if key[0] == "annihilator"]
+    assert formed and stats[code_key(Subspace.annihilator.__code__)][1] == len(formed)
+    proper = [key for key in inst._memo if key[0] == "cut_rows" and not
+              inst.filtration.at(key[1] + 2 * key[2], key[3]).is_zero() and not
+              inst.filtration.at(key[1] + 2 * key[2], key[3]).is_full()]
+    assert len(proper) > len(formed)
