@@ -22,7 +22,7 @@ elimination serves both fields.  ``rref_rows`` takes one of two paths:
   (Cohen, GTM 138, §2.2).  This is not Bareiss's elimination
   (*Math. Comp.* 22, 1968), whose exact division by the previous pivot
   bounds the entries without a gcd per row; that remains open under
-  "A kernel that scales" in ROADMAP.md.
+  item 5, "Do less elimination", in ROADMAP.md.
 """
 
 from __future__ import annotations

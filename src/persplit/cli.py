@@ -179,7 +179,7 @@ def cmd_weight_filtration(args):
     with open(args.file, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise InputError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or args.operator not in doc:
         raise InputError(f"no operator named {args.operator!r} in the file")
@@ -215,7 +215,7 @@ def _load_profile(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             rec = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise InputError(f"profile is not valid JSON: {exc}") from None
     if not isinstance(rec, dict):
         raise InputError("profile must be a JSON object")
@@ -369,7 +369,8 @@ def main(argv=None):
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
+        # a file that cannot be opened, read or decoded is bad input
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except VerificationFailure as exc:

@@ -305,7 +305,7 @@ def parse_instance(doc) -> PerverseLefschetzInstance:
 def parse(text: str) -> PerverseLefschetzInstance:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"not valid JSON: {exc}", "") from None
     return parse_instance(doc)
 

@@ -133,9 +133,12 @@ class Filtration:
 
     ``steps[(d, i)]`` is W_{≤i} of degree d; queries clamp to the zero
     subspace below the lowest jump and to the highest stored step above.
+    The filtration owns its ``report`` and its quotient maps, each formed
+    once in its ``_memo``; every instance and graded pieces built on the
+    same filtration (a split model and its twist, say) share them.
     """
 
-    __slots__ = ("space", "steps", "_jumps")
+    __slots__ = ("space", "steps", "_jumps", "_memo")
 
     def __init__(self, space: GradedSpace, steps):
         norm, jumps = {}, {}
@@ -148,9 +151,20 @@ class Filtration:
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "steps", norm)
         object.__setattr__(self, "_jumps", {d: sorted(js) for d, js in jumps.items()})
+        object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Filtration is immutable")
+
+    @property
+    def report(self) -> FiltrationReport:
+        """``validate_filtration`` of this filtration, run once."""
+        return memoized(self._memo, ("report",), lambda: validate_filtration(self.space, self))
+
+    def quotient(self, d, i) -> QuotientMap:
+        """W_{≤i}V^d / W_{≤i−1}V^d with its recorded basis, formed once."""
+        return memoized(self._memo, ("quotient", d, i),
+                        lambda: quotient_map(self.at(d, i), self.at(d, i - 1)))
 
     def jumps(self, d):
         return list(self._jumps.get(d, ()))
@@ -248,16 +262,19 @@ def check_strict_compatibility(filtr: Filtration, eta: GradedMap):
 
 
 class GradedPieces:
-    """Quotients Gr_i V^d with recorded bases and the induced operator blocks."""
+    """Quotients Gr_i V^d with recorded bases and the induced operator blocks.
 
-    __slots__ = ("space", "filtration", "eta", "quotients", "report", "_memo")
+    The quotient maps are the filtration's own (``Filtration.quotient``),
+    one per nonzero piece; only the induced blocks depend on the operator
+    and live in this object's ``_memo``."""
 
-    def __init__(self, space, filtration, eta, quotients, report):
+    __slots__ = ("space", "filtration", "eta", "quotients", "_memo")
+
+    def __init__(self, space, filtration, eta, quotients):
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "filtration", filtration)
         object.__setattr__(self, "eta", eta)
         object.__setattr__(self, "quotients", quotients)
-        object.__setattr__(self, "report", report)
         object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name, value):
@@ -287,7 +304,10 @@ class GradedPieces:
 
 
 def graded_pieces(space: GradedSpace, filtr: Filtration, eta: GradedMap) -> GradedPieces:
-    report = validate_filtration(space, filtr)
+    """The pieces of ``filtr`` with the blocks induced by ``eta``.  Raises
+    ``VerificationFailure`` if the filtration is invalid (read from its
+    ``report``) or ``eta`` does not respect it."""
+    report = filtr.report
     if not report.valid:
         raise VerificationFailure("; ".join(report.errors))
     ok, witness = check_strict_compatibility(filtr, eta)
@@ -295,10 +315,8 @@ def graded_pieces(space: GradedSpace, filtr: Filtration, eta: GradedMap) -> Grad
         d, i, vec = witness
         raise VerificationFailure(
             f"operator not compatible with filtration at (d={d}, i={i}); witness {vec}")
-    quotients = {}
-    for (d, i) in report.graded_dims:
-        quotients[(d, i)] = quotient_map(filtr.at(d, i), filtr.at(d, i - 1))
-    return GradedPieces(space, filtr, eta, quotients, report)
+    quotients = {(d, i): filtr.quotient(d, i) for (d, i) in report.graded_dims}
+    return GradedPieces(space, filtr, eta, quotients)
 
 
 def _power_ladder(n_mat: Matrix):

@@ -8,8 +8,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
 from .errors import InputError
-from .graded import (Filtration, GradedMap, GradedSpace, graded_pieces, memoized,
-                     validate_filtration)
+from .graded import Filtration, GradedMap, GradedSpace, graded_pieces, memoized
 from .linalg import Matrix, Subspace, kernel
 
 
@@ -30,9 +29,9 @@ class PerverseLefschetzInstance:
         if self.filtration.space != self.space:
             raise InputError("filtration is not over the instance's graded space")
 
-    @cached_property
+    @property
     def filtration_report(self):
-        return validate_filtration(self.space, self.filtration)
+        return self.filtration.report
 
     @property
     def amplitude(self):

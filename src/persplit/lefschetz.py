@@ -51,21 +51,6 @@ def check_hard_lefschetz(gp: GradedPieces) -> HardLefschetzReport:
     return HardLefschetzReport(True, tuple(checks))
 
 
-class PrimitiveTable:
-    """(i ≥ 0, d) → primitive subspace of Gr_{−i}V^d, in Gr coordinates."""
-
-    __slots__ = ("table",)
-
-    def __init__(self, table):
-        object.__setattr__(self, "table", dict(table))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PrimitiveTable is immutable")
-
-    def get(self, i, d) -> Subspace | None:
-        return self.table.get((i, d))
-
-
 def hard_lefschetz_report(gp: GradedPieces) -> HardLefschetzReport:
     """``check_hard_lefschetz(gp)``, run once per ``gp`` (kept in its ``_memo``)."""
     return memoized(gp._memo, ("hard_lefschetz",), lambda: check_hard_lefschetz(gp))
@@ -79,13 +64,16 @@ def require_hard_lefschetz(gp: GradedPieces):
         raise VerificationFailure(str(report))
 
 
-def primitives(gp: GradedPieces) -> PrimitiveTable:
-    """P^{−i,d} = Ker(e^{i+1} : Gr_{−i}V^d → Gr_{i+2}V^{d+2(i+1)}), computed
-    once per ``gp`` (kept in its ``_memo``)."""
+def primitives(gp: GradedPieces) -> dict:
+    """(i ≥ 0, d) → P^{−i,d} = Ker(e^{i+1} : Gr_{−i}V^d → Gr_{i+2}V^{d+2(i+1)})
+    in Gr coordinates, one entry per nonzero Gr_{−i}V^d, computed once per
+    ``gp`` (kept in its ``_memo``).  ``compute_splitting`` does not form
+    this table: under hard Lefschetz e^{i+1} is onto, so it reads
+    dim P^{−i,d} off the graded dimensions."""
     return memoized(gp._memo, ("primitives",), lambda: _primitive_table(gp))
 
 
-def _primitive_table(gp: GradedPieces) -> PrimitiveTable:
+def _primitive_table(gp: GradedPieces) -> dict:
     require_hard_lefschetz(gp)
     table = {}
     for (d, mi) in gp.slots:
@@ -94,16 +82,16 @@ def _primitive_table(gp: GradedPieces) -> PrimitiveTable:
         i = -mi
         block = gp.e_power_block(d, -i, i + 1)
         table[(i, d)] = kernel(block)
-    return PrimitiveTable(table)
+    return table
 
 
-def lefschetz_decomposition(gp: GradedPieces, pt: PrimitiveTable) -> dict:
+def lefschetz_decomposition(gp: GradedPieces, pt: dict) -> dict:
     """(k, d) → list of e^j-images of primitives, jointly spanning Gr_kV^d.
 
     Raises if the pieces fail to be independent or to span.
     """
     out = {}
-    max_i = _max_primitive_index(pt)
+    max_i = max((i for (i, _) in pt), default=0)
     for (d, k) in gp.slots:
         pieces = []
         total = 0
@@ -111,7 +99,7 @@ def lefschetz_decomposition(gp: GradedPieces, pt: PrimitiveTable) -> dict:
         while 2 * j - k <= max_i:
             i = 2 * j - k
             src_d = d - 2 * j
-            prim = pt.get(i, src_d)
+            prim = pt.get((i, src_d))
             if prim is not None and prim.dim:
                 block = gp.e_power_block(src_d, -i, j)
                 pieces.append(image_of(block, prim))
@@ -126,10 +114,6 @@ def lefschetz_decomposition(gp: GradedPieces, pt: PrimitiveTable) -> dict:
             raise VerificationFailure(f"Lefschetz pieces do not span at (k={k}, d={d})")
         out[(k, d)] = pieces
     return out
-
-
-def _max_primitive_index(pt: PrimitiveTable) -> int:
-    return max((i for (i, _) in pt.table), default=0)
 
 
 @dataclass(frozen=True)

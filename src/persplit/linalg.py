@@ -679,11 +679,9 @@ class QuotientMap:
     so projection∘section = identity on quotient coordinates.
     """
 
-    __slots__ = ("source", "kernel_space", "projection", "section")
+    __slots__ = ("projection", "section")
 
-    def __init__(self, source, kernel_space, projection, section):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "kernel_space", kernel_space)
+    def __init__(self, projection, section):
         object.__setattr__(self, "projection", projection)
         object.__setattr__(self, "section", section)
 
@@ -693,9 +691,6 @@ class QuotientMap:
     @property
     def dim(self):
         return self.projection.rows
-
-    def project_subspace(self, s: Subspace) -> Subspace:
-        return image_of(self.projection, s)
 
 
 def quotient_map(a: Subspace, b: Subspace) -> QuotientMap:
@@ -748,7 +743,7 @@ def quotient_map(a: Subspace, b: Subspace) -> QuotientMap:
         full = b.basis.stack(section).stack(ident._take(extra))
         # Coordinates of a column vector v in the row basis: x = (fullᵗ)⁻¹ v.
         projection = full.transpose().inverse()._take(range(b.dim, b.dim + q))
-    return QuotientMap(a, b, projection, section)
+    return QuotientMap(projection, section)
 
 
 def _unit_rows(m: Matrix):

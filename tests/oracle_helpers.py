@@ -170,3 +170,29 @@ def oracle_summands(inst, embedded):
                 summands[(k, d)] = g_k
         assert running.is_full()
     return summands
+
+
+def oracle_commutation(inst, result):
+    """The commutation report rebuilt image by image: for each nonzero
+    E^{−i,d} and j + j' ≤ i, η^{j'}(η^j E) as an image of an image,
+    compared with η^{j+j'}E and required to have dim E."""
+    from persplit.splitting import CommutationReport
+    checks = []
+    for (i, d), e_sub in sorted(result.embedded.items()):
+        if not e_sub.dim:
+            continue
+        straight = [e_sub] + [image_of(inst.eta.power_block(d, k), e_sub)
+                              for k in range(1, i + 1)]
+        for j in range(i + 1):
+            for jp in range(i - j + 1):
+                if j and jp:
+                    stepped = image_of(inst.eta.power_block(d + 2 * j, jp), straight[j])
+                else:
+                    stepped = straight[j + jp]
+                ok = stepped == straight[j + jp] and stepped.dim == e_sub.dim
+                checks.append(((i, d, j, jp), ok))
+                if not ok:
+                    return CommutationReport(False, tuple(checks),
+                                             f"η-commutation fails at (i={i}, d={d}, "
+                                             f"j={j}, j'={jp})")
+    return CommutationReport(True, tuple(checks))

@@ -269,6 +269,44 @@ def test_unparseable_file_is_input_error(capsys, tmp_path):
     assert code == 2
 
 
+# A file that cannot be read, decoded or parsed is an input error (exit 2)
+# with a one-line message, never a traceback.
+
+def test_a_directory_is_an_input_error(capsys, tmp_path):
+    code, out, err = run(capsys, "validate", str(tmp_path))
+    assert code == 2 and not out
+    assert err == f"input error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+
+def test_bytes_that_are_not_utf8_are_an_input_error(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"center": "\xe9"}')
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2 and not out
+    assert err == ("input error: 'utf-8' codec can't decode byte 0xe9 in position 12: "
+                   "invalid continuation byte\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("validate", "FILE"), "not valid JSON"),
+    (("weight-filtration", "FILE", "--operator", "N"), "not valid JSON"),
+    (("suite", "--seeds", "1", "--profile", "FILE"), "profile is not valid JSON"),
+])
+def test_nesting_past_the_recursion_limit_is_not_valid_json(capsys, tmp_path, argv, message):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000)
+    code, out, err = run(capsys, *[str(path) if arg == "FILE" else arg for arg in argv])
+    assert code == 2 and not out
+    assert err == (f"input error: {message}: maximum recursion depth exceeded "
+                   "while decoding a JSON array from a unicode string\n")
+
+
+def test_corpus_output_to_a_directory_is_an_input_error(capsys, tmp_path):
+    code, out, err = run(capsys, "corpus", "quadric-cone", "--m", "1", "-o", str(tmp_path))
+    assert code == 2 and not out
+    assert err == f"input error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+
 def test_engine_defect_exit_code_through_main(capsys, quadric_file, monkeypatch):
     def defective(inst):
         raise EngineDefect("synthetic defect")

@@ -57,16 +57,16 @@ def test_hl_invariant_under_twist():
 def test_quadric_cone_primitive_dimensions():
     gp = quadric_cone(1).instance.pieces
     pt = primitives(gp)
-    assert pt.get(0, 2).dim == 2      # all of the middle graded piece
-    assert pt.get(1, 2).dim == 1      # the deep line
-    assert pt.get(0, 4).dim == 2
+    assert pt.get((0, 2)).dim == 2      # all of the middle graded piece
+    assert pt.get((1, 2)).dim == 1      # the deep line
+    assert pt.get((0, 4)).dim == 2
 
 
 def test_single_string_primitives():
     inst, _ = build_split_model(StringSpec(((2, 0, 1),)))
     pt = primitives(inst.pieces)
-    assert pt.get(2, 0).dim == 1
-    assert all(sub.dim == 0 for (i, d), sub in pt.table.items() if (i, d) != (2, 0))
+    assert pt.get((2, 0)).dim == 1
+    assert all(sub.dim == 0 for (i, d), sub in pt.items() if (i, d) != (2, 0))
 
 
 def test_primitive_rank_nullity_identity_on_seeds():
@@ -74,7 +74,7 @@ def test_primitive_rank_nullity_identity_on_seeds():
         inst = random_instance(seed).instance
         gp = inst.pieces
         pt = primitives(gp)
-        for (i, d), prim in pt.table.items():
+        for (i, d), prim in pt.items():
             assert prim.dim == gp.dim(d, -i) - gp.dim(d - 2, -i - 2)
 
 
@@ -118,7 +118,7 @@ def test_decomposition_generating_function_identity_on_seeds():
             expected = 0
             j = max(0, k)
             while True:
-                prim = pt.get(2 * j - k, d - 2 * j)
+                prim = pt.get((2 * j - k, d - 2 * j))
                 if prim is None and 2 * j - k > inst.amplitude:
                     break
                 expected += prim.dim if prim else 0

@@ -12,16 +12,16 @@ from persplit.duality import orthogonal_mismatch
 from persplit.errors import (AssemblyFailure, ContainmentViolation, EngineDefect,
                              VerificationFailure)
 from persplit.fileformat import save
-from persplit.graded import GradedMap, GradedPieces
+from persplit.graded import GradedMap, GradedPieces, validate_filtration
 from persplit.instance import PerverseLefschetzInstance
 from persplit.lefschetz import (StringSpec, apply_graded_auto, build_split_model,
                                 check_hard_lefschetz, twist_model)
-from persplit.linalg import Matrix, Subspace, image_of, kernel, rref
+from persplit.linalg import Matrix, Subspace, image_of, kernel, quotient_map, rref
 from persplit.splitting import (ScheduleStep, assemble, certify_slot, compute_splitting,
                                 direct_characterization, eta_commutation_check,
                                 psi_schedule, slot_list)
 
-from oracle_helpers import oracle_summands
+from oracle_helpers import oracle_commutation, oracle_summands
 from test_graded import base_changed_split_model
 
 
@@ -130,7 +130,7 @@ def test_projection_normalization_is_identity_on_primitives():
         q = gp.quotient(d, -i)
         if q is None:
             continue
-        assert q.project_subspace(e_sub) == prims.get(i, d)
+        assert image_of(q.projection, e_sub) == prims.get((i, d))
 
 
 def test_uniqueness_perturbation_breaks_conditions():
@@ -301,6 +301,24 @@ def test_assembled_summands_match_the_image_by_image_oracle():
         assert result.summands == oracle_summands(inst, result.embedded)
 
 
+def test_certificate_rejects_a_space_one_row_short():
+    # a subspace of E still meets (a) and (b): only the dimension count (c)
+    # tells it from E
+    count = 0
+    for inst in (twisted_model(), quadric_cone(1).instance, split_sparse_model(3, 2)):
+        result = compute_splitting(inst)
+        for (i, d), e_sub in sorted(result.embedded.items()):
+            if not e_sub.dim:
+                continue
+            short = Subspace.span(e_sub.basis.data[1:], e_sub.ambient_dim)
+            with pytest.raises(EngineDefect) as exc:
+                certify_slot(inst, i, d, short)
+            assert str(exc.value) == (f"canonical-lift certificate fails at (i={i}, d={d}): "
+                                      f"dim E = {e_sub.dim - 1}, dim P^(-{i},{d}) = {e_sub.dim}")
+            count += 1
+    assert count >= 10
+
+
 def test_containment_violation_carries_slot_data():
     exc = ContainmentViolation(1, 2, 3, (Fraction(1), Fraction(0)))
     assert (exc.i, exc.d, exc.t) == (1, 2, 3)
@@ -325,6 +343,42 @@ def test_split_model_commutation():
     inst, _ = build_split_model(StringSpec(((3, 0, 2), (1, 2, 1))))
     result = compute_splitting(inst)
     assert eta_commutation_check(inst, result).passed
+
+
+# --- facts the pipeline records instead of recomputing ----------------------
+
+def implication_cases():
+    """The quadric cones, the split-sparse ladder, default and paired random
+    instances and a base-changed model."""
+    cases = [quadric_cone(m).instance for m in (0, 1, 2, 3, 7)]
+    cases += [split_sparse_model(length, mult) for length, mult in ((3, 2), (4, 1), (6, 1))]
+    cases += [random_instance(seed, profile).instance for seed in range(20)
+              for profile in (GeneratorProfile(), PAIRED)]
+    return cases + [base_changed_split_model(((4, 0, 1), (2, 2, 2), (0, 4, 2), (2, 0, 1)), 3)]
+
+
+def test_recorded_projections_and_commutation_match_their_oracles():
+    """Each certified E projects isomorphically onto its kernel-built
+    primitive, the kernel's dimension is the graded-dims count that the
+    certificate reads, and the recorded commutation report equals the
+    image-by-image one."""
+    nontrivial = 0
+    for inst in implication_cases():
+        result = compute_splitting(inst)
+        gp = inst.pieces
+        prims = lefschetz.primitives(gp)
+        recorded = [name for name, ok, _ in result.checks if name.endswith("under projection")]
+        assert recorded == [f"E^(-{i},{d}) ≅ P^(-{i},{d}) under projection"
+                            for (i, d) in result.embedded if gp.dim(d, -i)]
+        assert len(recorded) == len(prims)
+        for (i, d), prim in prims.items():
+            assert prim.dim == gp.dim(d, -i) - gp.dim(d + 2 * i + 2, i + 2)
+            e_sub = result.embedded[(i, d)]
+            projected = image_of(gp.quotient(d, -i).projection, e_sub)
+            assert projected.dim == e_sub.dim and projected == prim, (i, d)
+            nontrivial += e_sub != inst.filtration.at(d, -i) and prim.dim > 0
+        assert eta_commutation_check(inst, result) == oracle_commutation(inst, result)
+    assert nontrivial
 
 
 # --- hard Lefschetz, checked once --------------------------------------------
@@ -381,7 +435,7 @@ def test_splitting_runs_no_direct_pass_and_no_sums():
     """The certificate replaces the one-pass characterization, and
     assembly stacks rows instead of adding subspaces: ``compute_splitting``
     on a twisted model calls neither ``direct_characterization`` nor
-    ``Subspace.sum``, and forms the primitives once."""
+    ``Subspace.sum``, and forms no primitive kernel."""
     inst = twisted_model()
     profile = cProfile.Profile()
     profile.enable()
@@ -396,7 +450,7 @@ def test_splitting_runs_no_direct_pass_and_no_sums():
         return calls.get((code.co_filename, code.co_firstlineno, code.co_name), 0)
 
     assert count(psi_schedule) == len(slot_list(inst))
-    assert count(lefschetz._primitive_table) == 1
+    assert count(lefschetz._primitive_table) == 0
     assert count(direct_characterization) == 0
     assert count(Subspace.sum) == 0
 
@@ -419,9 +473,9 @@ def code_key(code):
 def test_commutation_reads_no_cut_rows_and_each_graded_block_is_one_product():
     """On a cold twisted model with a pairing, each induced block e^s of
     the pieces is one product, formed once per (d, i, s) and not from
-    other induced blocks; the commutation check forms its images from the
-    operator's powers and repeats no certificate product, so it reads no
-    ``cut_rows``."""
+    other induced blocks; the commutation check repeats no certificate
+    product and no assembly rank, so it reads no ``cut_rows`` and forms
+    no image."""
     inst = random_instance(9, GeneratorProfile(with_pairing=True)).instance
     assert inst.pairing is not None
     result, stats = profiled(lambda: compute_splitting(inst))
@@ -434,6 +488,22 @@ def test_commutation_reads_no_cut_rows_and_each_graded_block_is_one_product():
     report, stats = profiled(lambda: eta_commutation_check(inst, result))
     assert report.passed and any(j and jp for (_, _, j, jp), _ in report.checks)
     assert code_key(PerverseLefschetzInstance.cut_rows.__code__) not in stats
+    assert code_key(image_of.__code__) not in stats
+
+
+def test_random_instance_validates_its_filtration_once_and_each_quotient_once():
+    """The generated split model and its twist share one filtration, which
+    owns its report and quotient maps: generating an instance and
+    splitting it validates the filtration once and forms each quotient
+    map once."""
+    for profile in (GeneratorProfile(), GeneratorProfile(with_hodge=True, with_pairing=True)):
+        def generate_and_split():
+            ri = random_instance(9, profile)
+            compute_splitting(ri.instance)
+            return ri.instance.filtration
+        filtr, stats = profiled(generate_and_split)
+        assert stats[code_key(validate_filtration.__code__)][1] == 1
+        assert stats[code_key(quotient_map.__code__)][1] == len(filtr.report.graded_dims)
 
 
 # --- constraint rows are reduced only where a result is read ----------------
