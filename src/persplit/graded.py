@@ -159,7 +159,7 @@ class Filtration:
     @property
     def report(self) -> FiltrationReport:
         """``validate_filtration`` of this filtration, run once."""
-        return memoized(self._memo, ("report",), lambda: validate_filtration(self.space, self))
+        return memoized(self._memo, ("report",), lambda: validate_filtration(self))
 
     def quotient(self, d, i) -> QuotientMap:
         """W_{≤i}V^d / W_{≤i−1}V^d with its recorded basis, formed once."""
@@ -204,8 +204,9 @@ class FiltrationReport:
                 f"graded dims {self.graded_dims}")
 
 
-def validate_filtration(space: GradedSpace, filtr: Filtration) -> FiltrationReport:
+def validate_filtration(filtr: Filtration) -> FiltrationReport:
     """Monotone/exhaustive/bounded check plus amplitude bookkeeping."""
+    space = filtr.space
     errors = []
     i_min, i_max, graded_dims = {}, {}, {}
     for d in space.degrees:
@@ -268,10 +269,9 @@ class GradedPieces:
     one per nonzero piece; only the induced blocks depend on the operator
     and live in this object's ``_memo``."""
 
-    __slots__ = ("space", "filtration", "eta", "quotients", "_memo")
+    __slots__ = ("filtration", "eta", "quotients", "_memo")
 
-    def __init__(self, space, filtration, eta, quotients):
-        object.__setattr__(self, "space", space)
+    def __init__(self, filtration, eta, quotients):
         object.__setattr__(self, "filtration", filtration)
         object.__setattr__(self, "eta", eta)
         object.__setattr__(self, "quotients", quotients)
@@ -303,7 +303,7 @@ class GradedPieces:
         return memoized(self._memo, ("e_power_block", d, i, s), compute)
 
 
-def graded_pieces(space: GradedSpace, filtr: Filtration, eta: GradedMap) -> GradedPieces:
+def graded_pieces(filtr: Filtration, eta: GradedMap) -> GradedPieces:
     """The pieces of ``filtr`` with the blocks induced by ``eta``.  Raises
     ``VerificationFailure`` if the filtration is invalid (read from its
     ``report``) or ``eta`` does not respect it."""
@@ -316,7 +316,7 @@ def graded_pieces(space: GradedSpace, filtr: Filtration, eta: GradedMap) -> Grad
         raise VerificationFailure(
             f"operator not compatible with filtration at (d={d}, i={i}); witness {vec}")
     quotients = {(d, i): filtr.quotient(d, i) for (d, i) in report.graded_dims}
-    return GradedPieces(space, filtr, eta, quotients)
+    return GradedPieces(filtr, eta, quotients)
 
 
 def _power_ladder(n_mat: Matrix):

@@ -39,7 +39,7 @@ class PerverseLefschetzInstance:
 
     @cached_property
     def pieces(self):
-        return graded_pieces(self.space, self.filtration, self.eta)
+        return graded_pieces(self.filtration, self.eta)
 
     def cut_rows(self, d, s, level) -> Matrix:
         """Rows R with {v ∈ V^d : η^s v ∈ W_{≤level}V^{d+2s}} = {v : R·v = 0}:

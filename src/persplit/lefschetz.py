@@ -129,13 +129,6 @@ class StringSpec:
             if i < 0 or mult < 1:
                 raise InputError(f"bad string entry (i={i}, d={d}, mult={mult})")
 
-    def to_records(self):
-        return [{"i": i, "d": d, "mult": m} for (i, d, m) in self.entries]
-
-    @classmethod
-    def from_records(cls, records):
-        return cls(tuple((int(r["i"]), int(r["d"]), int(r["mult"])) for r in records))
-
 
 @dataclass(frozen=True)
 class SplitModelTruth:
@@ -169,7 +162,9 @@ def build_split_model(spec: StringSpec) -> tuple[PerverseLefschetzInstance, Spli
     """Block-diagonal model instance realizing the given strings.
 
     Coordinates per degree are allocated string by string; η sends each
-    string layer to the next by an identity column.
+    string layer to the next by an identity column.  Every filtration step
+    and truth subspace is a coordinate subspace (``Subspace.coordinate``),
+    built from the cells of its degree with no row reduction.
     """
     dims, cells = string_cells(spec)
     space = GradedSpace(dims)
@@ -183,18 +178,14 @@ def build_split_model(spec: StringSpec) -> tuple[PerverseLefschetzInstance, Spli
         blk[position[(sid, j + 1)]][off] = 1
     eta = GradedMap(2, {d: Matrix.from_rows(rows, dims[d])
                         for d, rows in eta_blocks.items()}, space)
+    by_degree = {}
+    for cell in cells:
+        by_degree.setdefault(cell[3], []).append(cell)
     steps = {}
-    for deg in dims:
-        idxs = sorted({idx for (*_, dg, idx, _) in cells if dg == deg})
-        n = dims[deg]
-        for cutoff in idxs:
-            rows = []
-            for (*_, dg, idx, off) in cells:
-                if dg == deg and idx <= cutoff:
-                    row = [0] * n
-                    row[off] = 1
-                    rows.append(row)
-            steps[(deg, cutoff)] = Subspace.span(rows, n)
+    for deg, deg_cells in by_degree.items():
+        for cutoff in sorted({idx for (*_, idx, _) in deg_cells}):
+            steps[(deg, cutoff)] = Subspace.coordinate(
+                [off for (*_, idx, off) in deg_cells if idx <= cutoff], dims[deg])
     filtr = Filtration(space, steps)
     degrees = sorted(dims)
     center = (degrees[0] + degrees[-1]) // 2 if degrees else 0
@@ -202,16 +193,12 @@ def build_split_model(spec: StringSpec) -> tuple[PerverseLefschetzInstance, Spli
                                      filtration=filtr, eta=eta)
     embedded, summands = {}, {}
     for (sid, i, j, deg, idx, off) in cells:
-        n = dims[deg]
-        row = [0] * n
-        row[off] = 1
         if j == 0:
-            e_slot = embedded.setdefault((i, deg), [])
-            e_slot.append(row)
-        summands.setdefault((idx, deg), []).append(row)
+            embedded.setdefault((i, deg), []).append(off)
+        summands.setdefault((idx, deg), []).append(off)
     truth = SplitModelTruth(
-        {key: Subspace.span(rows, dims[key[1]]) for key, rows in embedded.items()},
-        {key: Subspace.span(rows, dims[key[1]]) for key, rows in summands.items()},
+        {key: Subspace.coordinate(offs, dims[key[1]]) for key, offs in embedded.items()},
+        {key: Subspace.coordinate(offs, dims[key[1]]) for key, offs in summands.items()},
     )
     return inst, truth
 

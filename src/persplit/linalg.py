@@ -107,6 +107,11 @@ def _matrix(rows, cols, num, den, field=FIELD_Q):
     return m
 
 
+def _units(indices, n):
+    """The unit rows e_j of length n, j in ``indices``, as integer tuples."""
+    return tuple((0,) * j + (1,) + (0,) * (n - j - 1) for j in indices)
+
+
 def _pairs(rows, cols, pairs, field=FIELD_Q):
     """A matrix from canonical ``(numerators, denominator)`` stored rows."""
     return _matrix(rows, cols, tuple(n for n, _ in pairs), tuple(q for _, q in pairs), field)
@@ -178,8 +183,7 @@ class Matrix:
     @classmethod
     def identity(cls, n, field=FIELD_Q):
         size = _BLOCK[field] * n      # φ(1) is the 2×2 identity
-        units = tuple((0,) * i + (1,) + (0,) * (size - i - 1) for i in range(size))
-        return _matrix(n, n, units, (1,) * size, field)
+        return _matrix(n, n, _units(range(size), size), (1,) * size, field)
 
     @property
     def data(self):
@@ -472,6 +476,17 @@ class Subspace:
         return cls(ambient_dim, mat, field)
 
     @classmethod
+    def coordinate(cls, offsets, ambient_dim):
+        """The span of the unit vectors e_j, j in ``offsets``, over ℚ.  The
+        sorted unit rows are already its RREF, so nothing is reduced."""
+        axes = sorted(set(offsets))
+        if axes and not 0 <= axes[0] <= axes[-1] < ambient_dim:
+            raise DimensionMismatch(f"unit vector outside ambient {ambient_dim}")
+        units = _units(axes, ambient_dim)
+        return cls(ambient_dim, _matrix(len(units), ambient_dim, units, (1,) * len(units)),
+                   _canonical=True)
+
+    @classmethod
     def zero(cls, ambient_dim, field=FIELD_Q):
         return cls(ambient_dim, Matrix.zero(0, ambient_dim, field), field, _canonical=True)
 
@@ -694,10 +709,18 @@ class QuotientMap:
 
 
 def quotient_map(a: Subspace, b: Subspace) -> QuotientMap:
-    """Quotient a/b for b ⊆ a, with deterministic representatives."""
+    """Quotient a/b for b ⊆ a, with deterministic representatives: the
+    rows of a that extend b's basis greedily.  When a and b are coordinate
+    subspaces over ℚ, those are a's unit rows outside b, in a's order, and
+    they are read off the pivots with no elimination; the projection
+    equals the section (see the permutation case below)."""
     a._check_compatible(b)
     if not a.contains(b):
         raise InputError("quotient_map requires b ⊆ a")
+    if a.field == FIELD_Q and _unit_rows(a.basis) and _unit_rows(b.basis):
+        inside = set(_leads(b.basis))
+        section = a.basis._take([r for r, j in enumerate(_leads(a.basis)) if j not in inside])
+        return QuotientMap(section, section)
     n, field = a.ambient_dim, a.field
     k = _BLOCK[field]
     # Extend b's basis greedily by rows of a, then by unit vectors, to a
@@ -750,7 +773,7 @@ def _unit_rows(m: Matrix):
     """Each row has exactly one nonzero entry, and it is 1.  Over ℚ(i) the
     stored rows are checked: the block of i is not two unit rows."""
     for row, den in zip(m._num, m._den):
-        nonzero = [x for x in row if x]
-        if den != 1 or len(nonzero) != 1 or nonzero[0] != 1:
+        # one nonzero entry, so the sum is that entry
+        if den != 1 or row.count(0) != len(row) - 1 or sum(row) != 1:
             return False
     return True

@@ -32,8 +32,8 @@ def trivial_instance(dims):
 # --- filtration validation -------------------------------------------------
 
 def test_trivial_filtration_valid_amplitude_zero():
-    space, filtr = trivial_instance({0: 2, 2: 1})
-    report = validate_filtration(space, filtr)
+    _, filtr = trivial_instance({0: 2, 2: 1})
+    report = validate_filtration(filtr)
     assert report.valid and report.amplitude == 0
     assert report.graded_dims == {(0, 0): 2, (2, 0): 1}
 
@@ -49,7 +49,7 @@ def test_non_monotone_filtration_reported():
     space = GradedSpace({0: 2})
     filtr = Filtration(space, {(0, 0): Subspace.span([[1, 0]], 2),
                                (0, 1): Subspace.span([[0, 1]], 2)})
-    report = validate_filtration(space, filtr)
+    report = validate_filtration(filtr)
     assert not report.valid
     assert any("non-monotone" in e for e in report.errors)
 
@@ -57,7 +57,7 @@ def test_non_monotone_filtration_reported():
 def test_non_exhaustive_filtration_reported():
     space = GradedSpace({0: 2})
     filtr = Filtration(space, {(0, 0): Subspace.span([[1, 0]], 2)})
-    report = validate_filtration(space, filtr)
+    report = validate_filtration(filtr)
     assert not report.valid and any("exhaustive" in e for e in report.errors)
 
 
@@ -102,7 +102,7 @@ def test_strict_compatibility_witness_in_a_non_coordinate_basis():
     ok, witness = check_strict_compatibility(filtr, eta)
     assert not ok and witness == (0, 0, (Rat(0), Rat(1), Rat(2)))
     with pytest.raises(VerificationFailure) as exc:
-        graded_pieces(space, filtr, eta)
+        graded_pieces(filtr, eta)
     assert str(exc.value) == ("operator not compatible with filtration at (d=0, i=0); "
                               "witness (Fraction(0, 1), Fraction(1, 1), Fraction(2, 1))")
 
@@ -143,7 +143,7 @@ def test_strict_compatibility_witness_after_a_base_change():
     ok, witness = check_strict_compatibility(filtr, eta)
     assert not ok and witness == (0, -2, (Rat(0), Rat(1), Rat(1)))
     with pytest.raises(VerificationFailure) as exc:
-        graded_pieces(inst.space, filtr, eta)
+        graded_pieces(filtr, eta)
     assert str(exc.value) == ("operator not compatible with filtration at (d=0, i=-2); "
                               "witness (Fraction(0, 1), Fraction(1, 1), Fraction(1, 1))")
 
@@ -162,7 +162,7 @@ def test_quadric_cone_graded_dimensions():
 def test_trivial_filtration_pieces_recover_space():
     space, filtr = trivial_instance({0: 2})
     eta = GradedMap(2, {}, space)
-    gp = graded_pieces(space, filtr, eta)
+    gp = graded_pieces(filtr, eta)
     assert gp.dim(0, 0) == 2
     # the quotient by the zero step is the identity chart
     q = gp.quotient(0, 0)

@@ -1,8 +1,10 @@
+import hashlib
 import random
 
 import pytest
 
-from persplit.corpus import quadric_cone, random_instance
+from persplit import fileformat
+from persplit.corpus import GeneratorProfile, quadric_cone, random_instance
 from persplit.errors import InputError, VerificationFailure
 from persplit.graded import GradedMap
 from persplit.instance import PerverseLefschetzInstance
@@ -150,9 +152,7 @@ def test_split_model_matching_quadric_graded_dims():
         quadric_cone(1).instance.filtration_report.graded_dims
 
 
-def test_string_spec_record_round_trip():
-    spec = StringSpec(((1, 2, 3), (0, -4, 1)))
-    assert StringSpec.from_records(spec.to_records()) == spec
+def test_string_spec_rejects_bad_entries():
     with pytest.raises(InputError):
         StringSpec(((-1, 0, 1),))
     with pytest.raises(InputError):
@@ -167,6 +167,57 @@ def test_duplicate_string_entries_stay_disjoint():
     assert check_hard_lefschetz(inst.pieces).passed
     result = compute_splitting(inst)
     assert result.summands == truth.summands
+
+
+# --- generator bytes ---------------------------------------------------------
+#
+# The split models and their twists are the benchmark's and the corpus's
+# inputs.  Each digest below is the SHA-256 over the SHA-256s of
+# ``fileformat.serialize`` of a family, in order: the split-sparse ladder
+# (strings (i, 2L − i − 2s, mult), i ≤ L, s ∈ {0, 1}) twisted with bound 3
+# at seeds 0–9, and ``random_instance`` at seeds 0–39 under three profiles.
+
+GENERATOR_PROFILES = {
+    "default": GeneratorProfile(),
+    "dressed": GeneratorProfile(max_strings=8, max_string_length=4, max_mult=3,
+                                with_hodge=True, with_pairing=True),
+    "paired": GeneratorProfile(with_pairing=True),
+}
+GENERATOR_DIGESTS = {
+    (3, 2): "49511ec863d8b5fc92b573fa9798ff47bcd6873094de162295b3c3c8c2a25ff5",
+    (6, 1): "32a73a217d8c576670b2751c9fe9b7db74d8e3958b4dc983582741aba59e567f",
+    (3, 4): "e5eeb7f51935f0d400af291590728f158af2d559bee1836fb5fd560898d2bab6",
+    "default": "6020e624d7b724faf20949d610ea378fba27f37227c133f0d2ac0f4e0003119f",
+    "dressed": "14fa12b583bd0acc793517b4386185898224c94e17ba62009a98cf4f0969a112",
+    "paired": "17e394c6a1d7c5100aa0fd8f412e3b0c0df3264547d002b03a56866510c7131e",
+}
+
+
+def assert_spanned_by_own_rows(filtration, truth):
+    subspaces = [*filtration.steps.values(), *truth.embedded.values(),
+                 *truth.summands.values()]
+    for sub in subspaces:
+        assert sub == Subspace.span(sub.basis.data, sub.ambient_dim)
+
+
+def test_generators_write_pinned_bytes_and_canonical_subspaces():
+    got = {}
+    for length, mult in ((3, 2), (6, 1), (3, 4)):
+        entries = tuple((i, 2 * length - i - 2 * s, mult)
+                        for i in range(length + 1) for s in (0, 1))
+        model, truth = build_split_model(StringSpec(entries))
+        assert_spanned_by_own_rows(model.filtration, truth)
+        got[(length, mult)] = [twist_model(model, seed, 3)[0] for seed in range(10)]
+    for name, profile in GENERATOR_PROFILES.items():
+        runs = [random_instance(seed, profile) for seed in range(40)]
+        for ri in runs:
+            assert_spanned_by_own_rows(ri.instance.filtration, ri.truth)
+        got[name] = [ri.instance for ri in runs]
+    for family, instances in got.items():
+        digest = hashlib.sha256()
+        for inst in instances:
+            digest.update(hashlib.sha256(fileformat.serialize(inst).encode("utf-8")).digest())
+        assert digest.hexdigest() == GENERATOR_DIGESTS[family], family
 
 
 # --- twists ----------------------------------------------------------------

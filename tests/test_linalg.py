@@ -3,6 +3,8 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from persplit import linalg
+from persplit._core import rref_rows
 from persplit.errors import DimensionMismatch, FieldMismatch, InputError
 from persplit.linalg import (Matrix, Subspace, image_of, kernel, preimage,
                              quotient_map, rref)
@@ -409,17 +411,50 @@ def test_quotient_map_matches_span_and_sum_construction(pair):
 @settings(max_examples=50, deadline=None)
 @given(coordinate_nested_pairs())
 @example((Subspace.span([[0, 1, 0], [0, 0, 1]], 3), Subspace.span([[0, 0, 1]], 3)))
+@example((Subspace.span([[0, 1, 0], [0, 0, 1]], 3, FIELD_QI),
+          Subspace.span([[0, 0, 1]], 3, FIELD_QI)))
 def test_quotient_map_reads_a_permutation_basis_without_inverting(pair):
+    """Over ℚ a coordinate pair is read off its pivots: no inverse and no
+    elimination at all.  Over ℚ(i) it keeps the greedy, which may reduce
+    but never inverts.  Both equal the span-and-sum construction."""
     a, b = pair
+    calls = []
 
     def no_inverse(self):
         raise AssertionError("inverse() called on a permutation basis")
+
+    def counted_rref_rows(rows, ncols):
+        calls.append(ncols)
+        return rref_rows(rows, ncols)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Matrix, "inverse", no_inverse)
+        patch.setattr(linalg, "rref_rows", counted_rref_rows)
         q = quotient_map(a, b)
+    if a.field == FIELD_Q:
+        assert calls == []
     projection, section = span_and_sum_quotient_map(a, b)
     assert q.projection == projection and q.section == section
     assert q.projection.data == q.section.data
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(0, n - 1), max_size=2 * n) if n else st.just([]))))
+@example((0, []))
+@example((3, []))
+@example((3, [0, 1, 2]))
+@example((4, [3, 1, 3, 0]))
+def test_coordinate_subspace_equals_the_span_of_its_unit_rows(case):
+    n, offsets = case
+    units = [[int(k == j) for k in range(n)] for j in offsets]
+    sub = Subspace.coordinate(offsets, n)
+    assert sub == Subspace.span(units, n)
+
+
+def test_coordinate_subspace_rejects_offsets_outside_the_ambient():
+    for offsets in ([3], [-1, 0]):
+        with pytest.raises(DimensionMismatch):
+            Subspace.coordinate(offsets, 3)
 
 
 # --- the integer form against a Fraction and a Gaussian oracle -----------------
