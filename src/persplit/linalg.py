@@ -711,13 +711,14 @@ class QuotientMap:
 def quotient_map(a: Subspace, b: Subspace) -> QuotientMap:
     """Quotient a/b for b ⊆ a, with deterministic representatives: the
     rows of a that extend b's basis greedily.  When a and b are coordinate
-    subspaces over ℚ, those are a's unit rows outside b, in a's order, and
-    they are read off the pivots with no elimination; the projection
-    equals the section (see the permutation case below)."""
+    subspaces, those are a's unit rows outside b, in a's order, and they
+    are read off the pivots with no elimination.  Completed by the missing
+    unit vectors they form a permutation matrix P, and (Pᵗ)⁻¹ = P, so the
+    projection equals the section."""
     a._check_compatible(b)
     if not a.contains(b):
         raise InputError("quotient_map requires b ⊆ a")
-    if a.field == FIELD_Q and _unit_rows(a.basis) and _unit_rows(b.basis):
+    if _unit_rows(a.basis) and _unit_rows(b.basis):
         inside = set(_leads(b.basis))
         section = a.basis._take([r for r, j in enumerate(_leads(a.basis)) if j not in inside])
         return QuotientMap(section, section)
@@ -750,22 +751,16 @@ def quotient_map(a: Subspace, b: Subspace) -> QuotientMap:
         return all(independent(m._num[s]) for s in range(k * r, k * r + k))
 
     section = a.basis._take([r for r in range(a.dim) if accepted(a.basis, r)])
-    q = section.rows
-    if _unit_rows(b.basis) and _unit_rows(section):
-        # Completed by the missing unit vectors, the basis is a permutation
-        # matrix P, and (Pᵗ)⁻¹ = P: the coordinate rows are the rows.
-        projection = section
-    else:
-        ident = Matrix.identity(n, field)
-        extra = []
-        for j in range(n):
-            if len(echelon) == k * n:
-                break
-            if accepted(ident, j):
-                extra.append(j)
-        full = b.basis.stack(section).stack(ident._take(extra))
-        # Coordinates of a column vector v in the row basis: x = (fullᵗ)⁻¹ v.
-        projection = full.transpose().inverse()._take(range(b.dim, b.dim + q))
+    ident = Matrix.identity(n, field)
+    extra = []
+    for j in range(n):
+        if len(echelon) == k * n:
+            break
+        if accepted(ident, j):
+            extra.append(j)
+    full = b.basis.stack(section).stack(ident._take(extra))
+    # Coordinates of a column vector v in the row basis: x = (fullᵗ)⁻¹ v.
+    projection = full.transpose().inverse()._take(range(b.dim, b.dim + section.rows))
     return QuotientMap(projection, section)
 
 
