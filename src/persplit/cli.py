@@ -269,6 +269,8 @@ def _suite_one(seed, profile):
 
 
 def cmd_suite(args):
+    if args.seeds < 0:
+        raise InputError(f"--seeds must be ≥ 0, got {args.seeds}")
     profile = _load_profile(args.profile)
     totals, failures = {}, []
     for seed in range(args.seeds):

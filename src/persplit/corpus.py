@@ -176,6 +176,10 @@ def split_model_pairing(inst: PerverseLefschetzInstance, cells) -> IntersectionP
 _COUNT_MINIMUM = {"max_strings": 1, "max_string_length": 0, "degree_span": 0,
                   "max_mult": 1, "twist_bound": 0}
 
+# largest total dimension a profile may admit: max_strings strings of up
+# to max_mult copies of up to max_string_length + 1 layers each
+MAX_INSTANCE_DIM = 1024
+
 
 @dataclass(frozen=True)
 class GeneratorProfile:
@@ -216,7 +220,13 @@ class GeneratorProfile:
                 raise InputError(f"profile field {name!r} must be an integer, got {value!r}")
             elif value < low:
                 raise InputError(f"profile field {name!r} must be ≥ {low}, got {value}")
-        return cls(**rec)
+        profile = cls(**rec)
+        largest = profile.max_strings * profile.max_mult * (profile.max_string_length + 1)
+        if largest > MAX_INSTANCE_DIM:
+            raise InputError(f"profile admits instances of dimension up to {largest} "
+                             f"(max_strings × max_mult × (max_string_length + 1)), "
+                             f"more than {MAX_INSTANCE_DIM}")
+        return profile
 
 
 @dataclass(frozen=True)

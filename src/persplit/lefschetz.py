@@ -8,12 +8,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import reduce
 
 from .errors import InputError, VerificationFailure
 from .graded import Filtration, GradedMap, GradedPieces, GradedSpace, memoized
 from .instance import PerverseLefschetzInstance
-from .linalg import Matrix, Subspace, image_of, kernel
+from .linalg import Matrix, Subspace, image_of, kernel, unit_axes
 from .scalars import FIELD_Q
 
 
@@ -203,56 +202,85 @@ def build_split_model(spec: StringSpec) -> tuple[PerverseLefschetzInstance, Spli
     return inst, truth
 
 
-def random_unipotent_twist(inst: PerverseLefschetzInstance, seed: int, bound: int) -> GradedMap:
-    """Seeded W-filtered automorphism inducing the identity on all graded
-    pieces: identity plus integer-bounded components pushing each graded
-    representative into lower filtration steps."""
+def _unipotent_twist(filtr: Filtration, seed: int, bound: int) -> tuple[GradedMap, GradedMap]:
+    """``(u, u⁻¹)`` for the seeded W-filtered automorphism u that induces
+    the identity on every graded piece, read off coordinates.
+
+    Each step of ``filtr`` must be a coordinate subspace.  Then the
+    sections of the graded pieces, in ascending filtration index, are unit
+    rows e_{p(0)}, e_{p(1)}, …, and the adapted basis A, with columns
+    e_{p(a)}, is a permutation.  The seeded integer matrix
+    M = I + N has N[a][b] ≠ 0 only when b's piece lies below a's, so M is
+    unit lower triangular, and u = A·Mᵀ·Aᵀ: u[p(a)][p(b)] = M[b][a], and
+    u⁻¹[p(a)][p(b)] = M⁻¹[b][a] with M⁻¹ by integer forward substitution.
+    Nothing is inverted or reduced."""
+    report = filtr.report
+    if not report.valid:
+        raise VerificationFailure("; ".join(report.errors))
     rng = random.Random(seed)
-    gp = inst.pieces
-    blocks = {}
-    for d in inst.space.degrees:
-        n = inst.space.dim(d)
-        slots = sorted(i for (dd, i) in gp.slots if dd == d)
-        # Adapted basis: graded-piece sections, ascending filtration index.
-        sections = [gp.quotient(d, i).section for i in slots]
-        owners = [i for i, section in zip(slots, sections) for _ in range(section.rows)]
-        basis = reduce(Matrix.stack, sections, Matrix.zero(0, n))
+    u_blocks, inv_blocks = {}, {}
+    for d in filtr.space.degrees:
+        n = filtr.space.dim(d)
+        position, owners = [], []
+        for i in sorted(i for (dd, i) in report.graded_dims if dd == d):
+            axes = unit_axes(filtr.quotient(d, i).section)
+            if axes is None:
+                raise InputError(f"twist needs coordinate filtration steps; "
+                                 f"W_{{≤{i}}}V^{d} is not one")
+            position += axes
+            owners += [i] * len(axes)
         coeff = [[0] * n for _ in range(n)]
         for a in range(n):
             coeff[a][a] = 1
             for b in range(n):
                 if owners[b] < owners[a] and bound > 0:
                     coeff[a][b] = rng.randint(-bound, bound)
-        # Row-coordinate action x ↦ x(I+N); convert to column convention.
-        m = Matrix.from_rows(coeff, n)
-        a_mat = basis.transpose()
-        blocks[d] = a_mat @ m.transpose() @ a_mat.inverse()
-    return GradedMap(0, blocks, inst.space)
+        inverse = []
+        for a, row in enumerate(coeff):
+            # row a of M⁻¹ is e_a − Σ_{b<a} M[a][b]·(row b of M⁻¹)
+            inv = [0] * n
+            inv[a] = 1
+            for b in range(a):
+                if row[b]:
+                    inv = [x - row[b] * y for x, y in zip(inv, inverse[b])]
+            inverse.append(inv)
+        u_blocks[d] = _scatter(coeff, position)
+        inv_blocks[d] = _scatter(inverse, position)
+    return GradedMap(0, u_blocks, filtr.space), GradedMap(0, inv_blocks, filtr.space)
+
+
+def _scatter(rows, position) -> Matrix:
+    """A·Rᵀ·Aᵀ for the permutation A with columns e_{p(a)}: entry
+    (p(a), p(b)) is R[b][a]."""
+    n = len(position)
+    out = [[0] * n for _ in range(n)]
+    for row, pb in zip(rows, position):
+        for x, pa in zip(row, position):
+            out[pa][pb] = x
+    return Matrix.from_rows(out, n)
 
 
 def twist_model(inst: PerverseLefschetzInstance, seed: int, bound: int):
     """Conjugate η by a seeded Gr-trivial filtered automorphism u.
 
-    Returns ``(twisted_instance, u)``.  The filtration is unchanged; the
-    pairing, when present, is transported so its compatibility flags are
-    preserved; a Hodge bigrading is kept only if u preserves it (always
-    true in the Hodge–Tate case).
+    Returns ``(twisted_instance, u)``; u is built from the filtration
+    alone (see ``_unipotent_twist``), whose steps must be coordinate
+    subspaces, as every split model's are.  The filtration is unchanged.
+    Since u preserves it, η respects it exactly when uηu⁻¹ does, which the
+    twisted instance's pieces decide when read.  The pairing, when present,
+    is transported so its compatibility flags are preserved.  The Hodge
+    bigrading is kept unchanged: right for Hodge–Tate bigradings, the only
+    kind the generators make, whose one piece per degree every degree-0
+    automorphism preserves.
     """
-    u = random_unipotent_twist(inst, seed, bound)
-    u_inv_blocks = {d: blk.inverse() for d, blk in
-                    ((d, u.block(d)) for d in inst.space.degrees) if blk.rows}
-    u_inv = GradedMap(0, u_inv_blocks, inst.space)
-    eta_blocks = {}
-    for d in inst.space.degrees:
-        if inst.space.dim(d + 2) == 0:
-            continue
-        eta_blocks[d] = u.block(d + 2) @ inst.eta.block(d) @ u_inv.block(d)
-    eta2 = GradedMap(2, eta_blocks, inst.space)
+    u, u_inv = _unipotent_twist(inst.filtration, seed, bound)
+    eta = GradedMap(2, {d: u.block(d + 2) @ blk @ u_inv.block(d)
+                        for d, blk in inst.eta.blocks.items()}, inst.space)
     pairing = inst.pairing.transport(u_inv) if inst.pairing is not None else None
-    inst2 = PerverseLefschetzInstance(
+    twisted = PerverseLefschetzInstance(
         center=inst.center, space=inst.space, filtration=inst.filtration,
-        eta=eta2, hodge=inst.hodge, pairing=pairing, groups=inst.groups)
-    return inst2, u
+        eta=eta, hodge=inst.hodge, pairing=pairing, groups=inst.groups)
+    return twisted, u
 
 
 def apply_graded_auto(u: GradedMap, subspaces: dict) -> dict:

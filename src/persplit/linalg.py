@@ -718,9 +718,10 @@ def quotient_map(a: Subspace, b: Subspace) -> QuotientMap:
     a._check_compatible(b)
     if not a.contains(b):
         raise InputError("quotient_map requires b ⊆ a")
-    if _unit_rows(a.basis) and _unit_rows(b.basis):
-        inside = set(_leads(b.basis))
-        section = a.basis._take([r for r, j in enumerate(_leads(a.basis)) if j not in inside])
+    axes, inside = unit_axes(a.basis), unit_axes(b.basis)
+    if axes is not None and inside is not None:
+        inside = set(inside)
+        section = a.basis._take([r for r, j in enumerate(axes) if j not in inside])
         return QuotientMap(section, section)
     n, field = a.ambient_dim, a.field
     k = _BLOCK[field]
@@ -764,11 +765,13 @@ def quotient_map(a: Subspace, b: Subspace) -> QuotientMap:
     return QuotientMap(projection, section)
 
 
-def _unit_rows(m: Matrix):
-    """Each row has exactly one nonzero entry, and it is 1.  Over ℚ(i) the
-    stored rows are checked: the block of i is not two unit rows."""
+def unit_axes(m: Matrix):
+    """The axis j of each row of ``m`` when every row is a unit vector e_j,
+    else None.  Over ℚ(i) the stored rows are checked: the block of e_j is
+    the unit rows e_{2j}, e_{2j+1}, and the block of i is not two unit
+    rows."""
     for row, den in zip(m._num, m._den):
         # one nonzero entry, so the sum is that entry
         if den != 1 or row.count(0) != len(row) - 1 or sum(row) != 1:
-            return False
-    return True
+            return None
+    return _leads(m)

@@ -10,9 +10,11 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from functools import reduce
 
-from persplit.graded import nilpotency_order
+from persplit.graded import GradedMap, nilpotency_order
 from persplit.hodge import HodgeBigrading
+from persplit.instance import PerverseLefschetzInstance
 from persplit.linalg import (Matrix, Subspace, image_of, kernel, quotient_map)
 from persplit.scalars import FIELD_QI, Gaussian, Rat
 
@@ -196,3 +198,36 @@ def oracle_commutation(inst, result):
                                              f"η-commutation fails at (i={i}, d={d}, "
                                              f"j={j}, j'={jp})")
     return CommutationReport(True, tuple(checks))
+
+
+def conjugation_twist(inst, seed, bound):
+    """``(twisted_instance, u, u⁻¹)`` as a change of basis: the seeded
+    M = I + N, drawn as ``lefschetz.twist_model`` draws it, acts on the
+    adapted basis A of graded-piece sections, u = A·Mᵀ·A⁻¹ with both
+    inverses by elimination, and η and the pairing are conjugated by u."""
+    rng = random.Random(seed)
+    gp = inst.pieces
+    blocks = {}
+    for d in inst.space.degrees:
+        n = inst.space.dim(d)
+        slots = sorted(i for (dd, i) in gp.slots if dd == d)
+        sections = [gp.quotient(d, i).section for i in slots]
+        owners = [i for i, section in zip(slots, sections) for _ in range(section.rows)]
+        basis = reduce(Matrix.stack, sections, Matrix.zero(0, n))
+        coeff = [[0] * n for _ in range(n)]
+        for a in range(n):
+            coeff[a][a] = 1
+            for b in range(n):
+                if owners[b] < owners[a] and bound > 0:
+                    coeff[a][b] = rng.randint(-bound, bound)
+        a_mat = basis.transpose()
+        blocks[d] = a_mat @ Matrix.from_rows(coeff, n).transpose() @ a_mat.inverse()
+    u = GradedMap(0, blocks, inst.space)
+    u_inv = GradedMap(0, {d: blk.inverse() for d, blk in blocks.items()}, inst.space)
+    eta = GradedMap(2, {d: u.block(d + 2) @ inst.eta.block(d) @ u_inv.block(d)
+                        for d in inst.space.degrees}, inst.space)
+    pairing = inst.pairing.transport(u_inv) if inst.pairing is not None else None
+    twisted = PerverseLefschetzInstance(
+        center=inst.center, space=inst.space, filtration=inst.filtration,
+        eta=eta, hodge=inst.hodge, pairing=pairing, groups=inst.groups)
+    return twisted, u, u_inv

@@ -255,6 +255,14 @@ def test_suite_runs_and_reports(capsys, tmp_path):
     assert doc["checks"]["orthogonal characterization"]["total"] == 5
 
 
+def test_suite_refuses_a_negative_seed_count(capsys):
+    code, out, err = run(capsys, "suite", "--seeds", "-3", "--json")
+    assert code == 2 and not out and err.startswith("input error:") and "--seeds" in err
+    code, out, _ = run(capsys, "suite", "--seeds", "0", "--json")
+    doc = json.loads(out)
+    assert code == 0 and doc["seeds"] == 0 and doc["checks"] == {} and doc["passed"] is True
+
+
 # --- exit codes -------------------------------------------------------------
 
 def test_missing_file_is_input_error(capsys):

@@ -1,7 +1,7 @@
 import pytest
 
-from persplit.corpus import (GeneratorProfile, H2_LABELS, H4_LABELS, TRIPLE,
-                             canonical_lifts, quadric_cone, quadric_cone_class,
+from persplit.corpus import (GeneratorProfile, H2_LABELS, H4_LABELS, MAX_INSTANCE_DIM,
+                             TRIPLE, canonical_lifts, quadric_cone, quadric_cone_class,
                              random_instance, split_model_pairing,
                              triple_product, try_canonical_lifts)
 from persplit.errors import InputError
@@ -98,6 +98,20 @@ def test_profile_record_round_trip():
     assert GeneratorProfile.from_record(prof.to_record()) == prof
     with pytest.raises(InputError):
         GeneratorProfile.from_record({"max_wings": 3})
+
+
+def test_profiles_whose_instances_could_exceed_the_dimension_cap_are_refused():
+    # the default, the benchmark's suite profile and the tests' dressed one
+    for prof in (GeneratorProfile(), GeneratorProfile(max_strings=8, max_string_length=4,
+                                                      max_mult=3, with_hodge=True,
+                                                      with_pairing=True)):
+        assert GeneratorProfile.from_record(prof.to_record()) == prof
+    at_cap = {"max_strings": 64, "max_mult": 4, "max_string_length": 3}
+    assert 64 * 4 * (3 + 1) == MAX_INSTANCE_DIM
+    assert GeneratorProfile.from_record(at_cap).max_mult == 4
+    for record in ({**at_cap, "max_string_length": 4}, {"max_mult": 100000}):
+        with pytest.raises(InputError, match=f"more than {MAX_INSTANCE_DIM}"):
+            GeneratorProfile.from_record(record)
 
 
 def test_random_instance_deterministic_per_seed():

@@ -3,15 +3,18 @@ import random
 
 import pytest
 
-from persplit import fileformat
+from oracle_helpers import conjugation_twist
+from test_graded import base_changed_split_model
+
+from persplit import corpus, fileformat, linalg
 from persplit.corpus import GeneratorProfile, quadric_cone, random_instance
 from persplit.errors import InputError, VerificationFailure
-from persplit.graded import GradedMap
+from persplit.graded import Filtration, GradedMap
 from persplit.instance import PerverseLefschetzInstance
 from persplit.lefschetz import (StringSpec, apply_graded_auto,
                                 build_split_model, check_hard_lefschetz,
-                                lefschetz_decomposition, primitives,
-                                string_cells, twist_model)
+                                _unipotent_twist, lefschetz_decomposition,
+                                primitives, string_cells, twist_model)
 from persplit.linalg import Matrix, Subspace, image_of
 from persplit.scalars import Rat
 from persplit.splitting import compute_splitting
@@ -255,3 +258,69 @@ def test_apply_graded_auto_matches_blocks():
     moved = apply_graded_auto(u, truth.summands)
     for (k, d), sub in moved.items():
         assert sub == image_of(u.block(d), truth.summands[(k, d)])
+
+
+def split_sparse_ladder():
+    """The untwisted split-sparse models: strings (i, 2L − i − 2s, mult)
+    for i ≤ L and s ∈ {0, 1}, for (L, mult) = (3, 2), (6, 1), (3, 4)."""
+    return [build_split_model(StringSpec(tuple((i, 2 * length - i - 2 * s, mult)
+                                               for i in range(length + 1) for s in (0, 1))))[0]
+            for length, mult in ((3, 2), (6, 1), (3, 4))]
+
+
+def profile_models(monkeypatch, seeds):
+    """The untwisted model and twist seed of every ``random_instance`` of
+    the generator profiles, captured at its call of ``twist_model``."""
+    calls = []
+
+    def capture(inst, seed, bound):
+        calls.append((inst, seed))
+        return twist_model(inst, seed, bound)
+    monkeypatch.setattr(corpus, "twist_model", capture)
+    for profile in GENERATOR_PROFILES.values():
+        for seed in seeds:
+            random_instance(seed, profile)
+    return calls
+
+
+def test_twist_matches_the_conjugation_oracle(monkeypatch):
+    cases = [(model, seed) for model in split_sparse_ladder() for seed in range(4)]
+    cases += profile_models(monkeypatch, range(8))
+    for model, seed in cases:
+        for bound in range(5):
+            u, u_inv = _unipotent_twist(model.filtration, seed, bound)
+            want, want_u, want_inv = conjugation_twist(model, seed, bound)
+            assert (u, u_inv) == (want_u, want_inv)
+            assert twist_model(model, seed, bound) == (want, u)
+            for d in model.space.degrees:
+                assert u.block(d) @ u_inv.block(d) == Matrix.identity(model.space.dim(d))
+
+
+def test_twist_of_a_split_model_neither_inverts_nor_reduces(monkeypatch):
+    models = split_sparse_ladder()
+    calls = []
+    inverse, rref_rows = Matrix.inverse, linalg.rref_rows
+    monkeypatch.setattr(Matrix, "inverse", lambda m: calls.append("inverse") or inverse(m))
+    monkeypatch.setattr(linalg, "rref_rows",
+                        lambda *args: calls.append("rref_rows") or rref_rows(*args))
+    for model in models:
+        for seed in range(3):
+            twist_model(model, seed, 3)
+    assert calls == []
+
+
+def test_twist_refuses_a_filtration_that_is_not_in_coordinates():
+    model = base_changed_split_model(((2, 0, 2), (1, 0, 1)), 4)
+    assert any(linalg.unit_axes(step.basis) is None for step in model.filtration.steps.values())
+    with pytest.raises(InputError, match="coordinate"):
+        twist_model(model, 1, 3)
+
+
+def test_twist_refuses_an_invalid_filtration():
+    inst, _ = build_split_model(StringSpec(((1, 0, 1),)))
+    steps = dict(inst.filtration.steps)
+    steps[(0, 5)] = Subspace.zero(inst.space.dim(0))   # above a nonzero step
+    bad = PerverseLefschetzInstance(center=inst.center, space=inst.space,
+                                    filtration=Filtration(inst.space, steps), eta=inst.eta)
+    with pytest.raises(VerificationFailure, match="non-monotone"):
+        twist_model(bad, 1, 3)
